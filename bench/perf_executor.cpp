@@ -5,7 +5,7 @@
 // buys throughput instead of lock contention. This harness measures exactly
 // that: for each total loading-thread count it builds a single-node plan,
 // runs one cold pass (PFS tier: payload materialization + resident-set
-// inserts) and repeated warm passes (local tier: pure queue / dedup /
+// inserts) and repeated warm passes (local tier: pure claim / classify /
 // accounting overhead), and reports drain throughput in samples/s. Per-tier
 // fetch latency (resident-set probe, KV-store hit, PFS materialization) is
 // micro-measured separately.
@@ -62,7 +62,7 @@ double modeled_gpu_utilization(double t_train, std::uint32_t iters,
 }
 
 /// Single-node plan: `iters` iterations, `total_threads` loading threads
-/// spread over the GPU queues, one preprocessing thread, no cache
+/// spread over the GPUs, one preprocessing thread, no cache
 /// maintenance — every cycle goes to the drain path under test.
 runtime::Plan make_plan(std::uint16_t gpus, std::uint32_t iters, std::uint32_t batch,
                         std::uint32_t total_threads, std::uint64_t seed) {
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     const double cold_s = seconds_since(cold_start);
 
     // Warm passes: the whole epoch is resident, so the drain path is pure
-    // queue + dedup + accounting — the contention-sensitive regime.
+    // claim + classify + accounting — the contention-sensitive regime.
     double warm_s = std::numeric_limits<double>::infinity();
     std::uint64_t warm_samples = 0;
     double warm_util = 0.0;
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
   // ---- per-tier fetch latency (single-threaded micro-measurements).
   const int micro_ops = static_cast<int>(config.get_int("micro_ops", 4000));
 
-  // Local tier: the residency probe every enqueue performs.
+  // Local tier: the residency probe every claimed sample performs.
   const auto probe_plan = make_plan(gpus, iters, batch, 4, 42);
   runtime::ExecutorConfig probe_config;
   probe_config.verify_payloads = false;

@@ -4,7 +4,7 @@
 //      pre-compute the plan — per-iteration loading-thread assignment per
 //      GPU queue, preprocessing threads, prefetch and eviction lists.
 //   2. ONLINE: two node executors enforce the plan with resizable thread
-//      pools and per-GPU request queues, fetching remote samples from each
+//      pools and per-GPU claim cursors, fetching remote samples from each
 //      other through distribution managers over the MPI-like message bus.
 //
 //   $ ./offline_online_pipeline [scale=4000] [epochs=2] [trace=out.json]

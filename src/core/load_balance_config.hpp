@@ -2,7 +2,7 @@
 //
 // Thread-count, batch-quota and pool-cap knobs used to be re-declared in
 // three places — core::AllocatorConfig (Algorithm 1), runtime::ExecutorConfig
-// (pool caps / queue bounds) and pipeline::SimulationConfig (steal budget) —
+// (pool caps) and pipeline::SimulationConfig (steal budget) —
 // and the per-iteration feedback balancer would have needed to reach into
 // all of them. They now live here once; the three structs embed a
 // LoadBalanceConfig instead of re-declaring fields, and the balancer drives
@@ -32,13 +32,12 @@ struct LoadBalanceConfig {
   /// Max §4.1-step-2 preprocessing→loading thread steals per iteration.
   std::uint32_t max_preproc_steals = 4;
 
-  // --- Executor pool/queue caps ---
+  // --- Executor pool cap ---
   /// Ceiling on concurrent loader/preproc OS threads; 0 = hardware
-  /// concurrency. The plan's per-queue thread assignment is still enforced
+  /// concurrency. The plan's per-GPU thread assignment is still enforced
   /// as drain-task shares and in the virtual-time model; the cap only stops
   /// oversubscribing physical cores.
   std::uint32_t max_pool_threads = 0;
-  std::size_t queue_capacity = 4096;  ///< per-GPU request queue bound
 
   // --- Batch quotas (feedback balancer) ---
   /// Per-device (flat GPU rank, node-major) samples per iteration. Empty =
@@ -53,7 +52,7 @@ struct LoadBalanceConfig {
   std::uint32_t world_size = 0;
 
   /// Rejects zero-thread splits, quota sets that do not sum to the batch
-  /// size, and pool/queue caps below the world size. Cheap; call it at
+  /// size, and pool caps below the world size. Cheap; call it at
   /// every construction boundary.
   [[nodiscard]] Status validate() const;
 };

@@ -13,7 +13,6 @@
 
 #include "cache/namespace.hpp"
 #include "common/logging.hpp"
-#include "common/strfmt.hpp"
 #include "runtime/watchdog.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/registry.hpp"
@@ -23,9 +22,18 @@
 namespace lobster::runtime {
 
 namespace {
-/// Requests popped per queue-lock acquisition in the drain loop. Amortizes
-/// the queue mutex without starving sibling workers of the same queue.
-constexpr std::size_t kDrainBatch = 32;
+/// Demand samples claimed per cursor fetch_add. Amortizes the atomic and
+/// fills a multi-get envelope, while staying small enough that stealing
+/// evens out a slow GPU within the iteration.
+constexpr std::size_t kClaimChunk = 32;
+
+/// One GPU's minibatch and its claim cursor. The run thread fills it before
+/// submitting the drain tasks; workers only fetch_add the cursor, so no
+/// index is ever handed out twice. The cursor sits on its own cache line.
+struct ClaimSpan {
+  std::vector<SampleId> samples;
+  alignas(64) std::atomic<std::size_t> next{0};
+};
 }  // namespace
 
 PlanExecutor::PlanExecutor(ExecutorConfig config, const data::SampleCatalog& catalog,
@@ -45,22 +53,41 @@ bool PlanExecutor::has_sample(SampleId sample) const { return store_.contains(sa
 
 std::unordered_set<SampleId> PlanExecutor::resident_samples() const { return store_.snapshot(); }
 
+void PlanExecutor::drain_chunk(const SampleId* first, const SampleId* last, IterId iter,
+                               GpuAccounting& accounting, std::vector<LoadRequest>& misses) {
+  const FetchTier miss_tier =
+      manager_ != nullptr || kv_store_ != nullptr ? FetchTier::kRemote : FetchTier::kPfs;
+  misses.clear();
+  Bytes local_bytes = 0;
+  for (const SampleId* it = first; it != last; ++it) {
+    const Bytes bytes = catalog_.sample_bytes(*it);
+    // Resident: pure accounting, with telemetry batched below so the warm
+    // drain pays one metric-gate check per chunk instead of per sample.
+    if (store_.contains(*it)) {
+      local_bytes += bytes;
+      ++accounting.local_hits;
+      continue;
+    }
+    misses.push_back(LoadRequest{*it, bytes, miss_tier, iter});
+  }
+  accounting.local_bytes += local_bytes;
+  if (local_bytes > 0) {
+    LOBSTER_TRACE_INSTANT(kExecutor, "fetch_local", local_bytes);
+    LOBSTER_METRIC_COUNT("executor.local_bytes", local_bytes);
+  }
+  // Misses coalesce: one multi-get envelope per holder and batched PFS
+  // materialization instead of a round-trip (and a heap payload) per sample.
+  if (!misses.empty()) execute_batch(misses, accounting);
+  accounting.claimed += static_cast<std::uint32_t>(last - first);
+}
+
 void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& accounting) {
   const Bytes size = request.bytes;
-  if (request.tier == FetchTier::kLocal) {
-    accounting.local_bytes += size;
-    ++accounting.local_hits;
-    LOBSTER_TRACE_INSTANT(kExecutor, "fetch_local", size);
-    LOBSTER_METRIC_COUNT("executor.local_bytes", size);
-    return;
-  }
-
   // Root of this request's causal trace (DESIGN.md §11): every attempt,
   // backoff, detour, serve (on the holder's rank) and PFS fallback below
   // becomes a child span. arg = sample, arg2 = iteration, so the analyzer
-  // can group degraded fetches per iteration. Only the non-local tiers are
-  // traced — the warm local path above (and its inlined drain-loop twin)
-  // never reaches this point.
+  // can group degraded fetches per iteration. Local hits never get here:
+  // drain_chunk accounts them inline, untraced.
   telemetry::Span fetch(telemetry::SpanKind::kFetch, config_.node, request.sample);
   fetch.set_arg2(request.iter);
 
@@ -186,7 +213,7 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
 
 void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
                                  GpuAccounting& accounting) {
-  // Partition the drained batch: KV hits are served inline; remote misses
+  // Partition the drained chunk: KV hits are served inline; remote misses
   // group per directory-recorded holder for ONE multi-get envelope each;
   // cold misses batch-materialize from the PFS. Anything that needs the
   // full degraded-routing state machine goes through execute_request.
@@ -341,25 +368,14 @@ ExecutionReport PlanExecutor::run() {
   throughput_.assign(gpus, metrics::ThroughputWindow());
   feedback_ = core::IterationFeedback{};
 
-  // Hoisted across iterations: the queues are fully drained every iteration,
-  // so one construction serves the whole run; vectors below are reused to
-  // avoid per-iteration allocation churn.
-  GpuRequestQueues queues(gpus, config_.balance.queue_capacity);
+  // Hoisted across iterations so steady-state iterations do not allocate.
+  // Each GPU's minibatch is one span with one claim cursor (DESIGN.md §8).
+  std::vector<ClaimSpan> spans(gpus);
   std::vector<GpuAccounting> accounting(gpus);
+  std::mutex merge_mutex;
   std::vector<std::future<void>> futures;
   std::vector<std::future<void>> preproc_futures;
   std::vector<std::future<void>> prefetch_futures;
-  std::vector<LoadRequest> enqueue_buffer;
-  // Queue-overflow spill: filled single-threaded at enqueue, claimed by the
-  // drain workers via a per-GPU atomic cursor (contention-free when empty).
-  std::vector<std::vector<LoadRequest>> spill(gpus);
-  const std::unique_ptr<std::atomic<std::size_t>[]> spill_next(
-      new std::atomic<std::size_t>[gpus]);
-  // Worker-local delivery logs, merged per GPU and dedup-checked once per
-  // drain (the old global delivered-set mutex was taken per request).
-  std::mutex merge_mutex;
-  std::vector<std::vector<SampleId>> delivered(gpus);
-  std::vector<std::uint64_t> delivered_count(gpus, 0);
 
   for (const auto& iteration : plan_.iterations) {
     LOBSTER_TRACE_SPAN_ARG(kExecutor, "iteration", iteration.iter);
@@ -392,17 +408,17 @@ ExecutionReport PlanExecutor::run() {
       for (std::uint32_t d = 0; d < flat_base; ++d) quota_offset += rebalance.batch_quotas[d];
     }
 
-    // Effective per-queue thread counts: the plan's static assignment unless
+    // Effective per-GPU thread counts: the plan's static assignment unless
     // the rebalance decision overrides it.
-    std::vector<std::uint32_t> queue_threads(gpus, 1);
+    std::vector<std::uint32_t> gpu_threads(gpus, 1);
     for (GpuId g = 0; g < gpus; ++g) {
       if (g < node_plan.load_threads.size()) {
-        queue_threads[g] = std::max<std::uint32_t>(node_plan.load_threads[g], 1);
+        gpu_threads[g] = std::max<std::uint32_t>(node_plan.load_threads[g], 1);
       }
     }
     if (rebalance.active && rebalance.load_threads.size() >= flat_base + gpus) {
       for (GpuId g = 0; g < gpus; ++g) {
-        queue_threads[g] = std::max<std::uint32_t>(rebalance.load_threads[flat_base + g], 1);
+        gpu_threads[g] = std::max<std::uint32_t>(rebalance.load_threads[flat_base + g], 1);
       }
     }
 
@@ -418,12 +434,12 @@ ExecutionReport PlanExecutor::run() {
 
     // ---- enforce the plan's thread assignment (resize is a no-op when the
     // planned size is unchanged — no thundering-herd wakeups). Planned
-    // threads are enforced as per-queue drain-task shares and in the
+    // threads are enforced as per-GPU drain-task shares and in the
     // virtual-time model; the OS-thread count is additionally capped at the
     // core budget so oversubscription never turns planned bandwidth into
     // context-switch overhead.
     const std::uint32_t load_threads_total = std::max<std::uint32_t>(
-        1, std::accumulate(queue_threads.begin(), queue_threads.end(), 0U));
+        1, std::accumulate(gpu_threads.begin(), gpu_threads.end(), 0U));
     const std::uint32_t preproc_threads = std::max<std::uint32_t>(1, node_plan.preproc_threads);
     {
       LOBSTER_TRACE_SPAN_ARG(kExecutor, "resize_pools", load_threads_total);
@@ -435,55 +451,23 @@ ExecutionReport PlanExecutor::run() {
     stats.load_pool_size = load_threads_total;
     stats.preproc_pool_size = preproc_threads;
 
-    // ---- enqueue demand requests per GPU queue (bulk push; overflow spills
-    // loudly instead of blocking or dropping)
+    // ---- enqueue: fill each GPU's span and reset its cursor. No sample is
+    // classified here; the claiming worker does that after the prefetch
+    // join below, so a hit never depends on how far a prefetch got.
     {
       LOBSTER_TRACE_SPAN(kExecutor, "enqueue");
       for (GpuId g = 0; g < gpus; ++g) {
-        enqueue_buffer.clear();
-        std::vector<SampleId> batch_samples;
         if (quota_mode) {
           const std::uint32_t quota = rebalance.batch_quotas[flat_base + g];
-          batch_samples = sampler_.quota_slice(epoch, h, quota_offset, quota);
+          spans[g].samples = sampler_.quota_slice(epoch, h, quota_offset, quota);
           quota_offset += quota;
         } else {
-          batch_samples = sampler_.minibatch(epoch, h, config_.node, g);
+          spans[g].samples = sampler_.minibatch(epoch, h, config_.node, g);
         }
-        for (const SampleId s : batch_samples) {
-          LoadRequest request;
-          request.sample = s;
-          request.bytes = catalog_.sample_bytes(s);
-          request.iter = iteration.iter;
-          request.gpu = g;
-          request.tier = store_.contains(s) ? FetchTier::kLocal
-                         : (manager_ != nullptr || kv_store_ != nullptr ? FetchTier::kRemote
-                                                                        : FetchTier::kPfs);
-          enqueue_buffer.push_back(request);
-        }
-        stats.demand_requests += static_cast<std::uint32_t>(enqueue_buffer.size());
-        const std::size_t accepted = queues.try_push_batch(g, enqueue_buffer);
-        if (accepted < enqueue_buffer.size()) {
-          spill[g].assign(enqueue_buffer.begin() + static_cast<std::ptrdiff_t>(accepted),
-                          enqueue_buffer.end());
-          stats.spilled_requests +=
-              static_cast<std::uint32_t>(enqueue_buffer.size() - accepted);
-          LOBSTER_METRIC_COUNT("executor.spilled_requests", enqueue_buffer.size() - accepted);
-        }
-        spill_next[g].store(0, std::memory_order_relaxed);
+        spans[g].next.store(0, std::memory_order_relaxed);
+        stats.demand_requests += static_cast<std::uint32_t>(spans[g].samples.size());
       }
     }
-#if !defined(LOBSTER_TELEMETRY_DISABLED)
-    // Sample the per-GPU queue depths at their peak (the §4.2 load signal).
-    if (telemetry::active()) {
-      auto& tracer = telemetry::Tracer::instance();
-      const auto depths = queues.depths();
-      for (GpuId g = 0; g < gpus; ++g) {
-        tracer.counter_wall(telemetry::Category::kQueue,
-                            tracer.intern(strf("queue_depth/gpu%u", g)),
-                            static_cast<double>(depths[g]));
-      }
-    }
-#endif
 
     // The previous iteration's prefetches ran on the loading pool overlapped
     // with the enqueue above; join them before draining so plan residency
@@ -491,91 +475,61 @@ ExecutionReport PlanExecutor::run() {
     for (auto& f : prefetch_futures) f.get();
     prefetch_futures.clear();
 
-    // ---- drain queues with the planned per-queue thread counts. Workers
-    // pop in batches, accumulate accounting and delivery logs privately,
-    // and merge once per task — no shared state is touched per request.
+    // ---- drain: the planned per-GPU thread count is the number of tasks
+    // that start on that GPU's cursor. A task claims kClaimChunk samples per
+    // fetch_add from its home span, then steals chunks from the other spans
+    // once home runs dry. Accounting always goes to the span's GPU, never to
+    // the thief's, and is merged once per task.
     {
       LOBSTER_TRACE_SPAN_ARG(kExecutor, "drain", stats.demand_requests);
       futures.clear();
       // Surplus drain tasks beyond the pool's OS threads never run
-      // concurrently — they'd only wake a worker to find the queue already
-      // empty — so cap the per-queue task count at the real pool size. The
+      // concurrently — they'd only wake a worker to find every cursor
+      // exhausted — so cap the per-GPU task count at the real pool size. The
       // planned share still drives the virtual-time model and stats.
       const std::uint32_t pool_threads = std::min(load_threads_total, hw_threads);
-      for (GpuId g = 0; g < gpus; ++g) {
-        const std::uint32_t per_queue = std::min(pool_threads, queue_threads[g]);
-        for (std::uint32_t t = 0; t < per_queue; ++t) {
+      const IterId iter = iteration.iter;
+      for (GpuId home = 0; home < gpus; ++home) {
+        const std::uint32_t per_gpu = std::min(pool_threads, gpu_threads[home]);
+        for (std::uint32_t t = 0; t < per_gpu; ++t) {
           futures.push_back(loading_pool.submit(
-              [this, g, &queues, &spill, &spill_next, &accounting, &merge_mutex, &delivered] {
-                GpuAccounting local;
-                std::vector<SampleId> my_delivered;
-                std::vector<LoadRequest> batch;
-                std::vector<LoadRequest> slow;
-                batch.reserve(kDrainBatch);
-                while (queues.try_pop_batch(g, batch, kDrainBatch) > 0) {
-                  Bytes batch_local_bytes = 0;
-                  slow.clear();
-                  for (const auto& request : batch) {
-                    my_delivered.push_back(request.sample);
-                    // Local-tier fast path inlined: pure accounting, with
-                    // telemetry batched below so the warm drain pays one
-                    // metric-gate check per batch instead of per sample.
-                    if (request.tier == FetchTier::kLocal) {
-                      local.local_bytes += request.bytes;
-                      ++local.local_hits;
-                      batch_local_bytes += request.bytes;
-                    } else {
-                      slow.push_back(request);
-                    }
+              [this, home, gpus, iter, &spans, &accounting, &merge_mutex] {
+                std::vector<GpuAccounting> local(gpus);
+                std::vector<LoadRequest> misses;
+                for (std::uint16_t k = 0; k < gpus; ++k) {
+                  const auto g = static_cast<GpuId>((home + k) % gpus);
+                  ClaimSpan& span = spans[g];
+                  const std::size_t size = span.samples.size();
+                  for (std::size_t begin = span.next.fetch_add(kClaimChunk,
+                                                               std::memory_order_relaxed);
+                       begin < size;
+                       begin = span.next.fetch_add(kClaimChunk, std::memory_order_relaxed)) {
+                    const SampleId* first = span.samples.data() + begin;
+                    drain_chunk(first, first + std::min(kClaimChunk, size - begin), iter,
+                                local[g], misses);
                   }
-                  if (batch_local_bytes > 0) {
-                    LOBSTER_TRACE_INSTANT(kExecutor, "fetch_local", batch_local_bytes);
-                    LOBSTER_METRIC_COUNT("executor.local_bytes", batch_local_bytes);
-                  }
-                  // Misses coalesce: one multi-get envelope per holder and
-                  // batched PFS materialization instead of a round-trip (and
-                  // a heap payload) per sample.
-                  if (!slow.empty()) execute_batch(slow, local);
-                  batch.clear();
-                }
-                // Claim spilled requests (if any) via the atomic cursor.
-                const auto& overflow = spill[g];
-                while (true) {
-                  const std::size_t idx =
-                      spill_next[g].fetch_add(1, std::memory_order_relaxed);
-                  if (idx >= overflow.size()) break;
-                  my_delivered.push_back(overflow[idx].sample);
-                  execute_request(overflow[idx], local);
                 }
                 const std::scoped_lock lock(merge_mutex);
-                accounting[g].merge(local);
-                delivered[g].insert(delivered[g].end(), my_delivered.begin(),
-                                    my_delivered.end());
+                for (GpuId g = 0; g < gpus; ++g) accounting[g].merge(local[g]);
               }));
         }
       }
       for (auto& f : futures) f.get();
 
-      // Dedup check per GPU (the same sample legitimately goes to two GPUs;
-      // within one queue it must be delivered exactly once).
-      std::uint64_t delivered_total = 0;
+      // Exactly-once by construction: claimed chunks are disjoint and cover
+      // each span, so these checks only catch a broken claim loop.
       for (GpuId g = 0; g < gpus; ++g) {
-        auto& log = delivered[g];
-        std::sort(log.begin(), log.end());
-        for (std::size_t i = 1; i < log.size(); ++i) {
-          if (log[i] == log[i - 1]) ++report.duplicate_deliveries;
+        const std::uint64_t claimed = accounting[g].claimed;
+        const std::uint64_t planned = spans[g].samples.size();
+        report.samples_delivered += claimed;
+        report.duplicate_deliveries += claimed > planned ? claimed - planned : 0;
+        report.lost_deliveries += planned > claimed ? planned - claimed : 0;
+        if (claimed != planned) {
+          log::warn("executor: iteration %llu gpu %u claimed %llu of %llu samples",
+                    static_cast<unsigned long long>(iter), static_cast<unsigned>(g),
+                    static_cast<unsigned long long>(claimed),
+                    static_cast<unsigned long long>(planned));
         }
-        delivered_count[g] = log.size();
-        delivered_total += log.size();
-        log.clear();
-        spill[g].clear();
-      }
-      report.samples_delivered += delivered_total;
-      if (delivered_total < stats.demand_requests) {
-        report.lost_deliveries += stats.demand_requests - delivered_total;
-        log::warn("executor: iteration %llu lost %llu deliveries",
-                  static_cast<unsigned long long>(iteration.iter),
-                  static_cast<unsigned long long>(stats.demand_requests - delivered_total));
       }
     }
 
@@ -599,20 +553,18 @@ ExecutionReport PlanExecutor::run() {
     // schedule, so a throttled node is slower in exactly the modeled way)
     Seconds load_max = 0.0;
     Seconds preproc_max = 0.0;
-    Bytes node_bytes = 0;
     feedback_.iter = iteration.iter;
     feedback_.devices.clear();
     auto& registry = telemetry::MetricRegistry::instance();
     for (GpuId g = 0; g < gpus; ++g) {
       const auto& acct = accounting[g];
-      const double threads = queue_threads[g];
+      const double threads = gpu_threads[g];
       const Seconds load = (static_cast<double>(acct.local_bytes) / config_.rates.local_bps +
                             static_cast<double>(acct.remote_bytes) / config_.rates.remote_bps +
                             static_cast<double>(acct.pfs_bytes) / config_.rates.pfs_bps) /
                            (threads * capacity_scale);
       load_max = std::max(load_max, load);
       const Bytes gpu_bytes = acct.local_bytes + acct.remote_bytes + acct.pfs_bytes;
-      node_bytes += gpu_bytes;
       const Seconds preproc = static_cast<double>(gpu_bytes) /
                               (config_.rates.preproc_bps * preproc_threads * capacity_scale);
       preproc_max = std::max(preproc_max, preproc);
@@ -620,7 +572,6 @@ ExecutionReport PlanExecutor::run() {
       stats.remote_fetches += acct.remote_fetches;
       stats.pfs_fetches += acct.pfs_fetches;
       stats.degraded_fetches += acct.degraded_fetches;
-      accounting[g] = GpuAccounting{};  // reset for the next iteration
 
       // Per-GPU feedback for the balancer: pipeline time (NOT clamped by
       // t_train), so the derived samples/s is the device's delivery
@@ -628,17 +579,16 @@ ExecutionReport PlanExecutor::run() {
       // and its measured rate holds steady instead of chasing the quota.
       const Seconds busy = load + preproc;
       const std::uint32_t flat = flat_base + g;
-      feedback_.devices.push_back(core::DeviceFeedback{flat, delivered_count[g], busy});
-      throughput_[g].record(delivered_count[g], busy);
+      feedback_.devices.push_back(core::DeviceFeedback{flat, acct.claimed, busy});
+      throughput_[g].record(acct.claimed, busy);
       registry.gauge("executor.gpu/" + std::to_string(flat) + "/throughput")
           .set(throughput_[g].windowed_rate());
-      delivered_count[g] = 0;
+      accounting[g] = GpuAccounting{};  // reset for the next iteration
     }
     stats.virtual_load = load_max;
     stats.virtual_preproc = preproc_max;
     stats.virtual_duration = std::max(config_.t_train, load_max + preproc_max);
 
-    report.spilled_requests += stats.spilled_requests;
     report.degraded_fetches += stats.degraded_fetches;
     report.virtual_total += stats.virtual_duration;
 
@@ -656,7 +606,6 @@ ExecutionReport PlanExecutor::run() {
       request.sample = s;
       request.bytes = catalog_.sample_bytes(s);
       request.iter = iteration.iter;
-      request.prefetch = true;
       request.tier = manager_ != nullptr || kv_store_ != nullptr ? FetchTier::kRemote
                                                                  : FetchTier::kPfs;
       ++stats.prefetch_requests;

@@ -1,20 +1,23 @@
 // Online plan executor (§4.5).
 //
 // Interprets a runtime::Plan for one node with *real* threads: per-GPU
-// request queues, a resizable loading pool whose size follows the plan's
-// per-iteration thread assignment, a preprocessing pool, plan-driven cache
-// maintenance (prefetches and evictions), and an optional distribution
-// manager for remote fetches. Payloads are materialized and verified
-// end-to-end, so the executor proves the enforcement machinery — queues,
-// pool resizing, distributed fetches, plan bookkeeping — delivers every
-// sample exactly once and in time.
+// claim cursors over each GPU's minibatch, a resizable loading pool whose
+// size follows the plan's per-iteration thread assignment, a preprocessing
+// pool, plan-driven cache maintenance (prefetches and evictions), and an
+// optional distribution manager for remote fetches. Payloads are
+// materialized and verified end-to-end, so the executor proves the
+// enforcement machinery — claim cursors, pool resizing, distributed fetches,
+// plan bookkeeping — delivers every sample exactly once and in time.
 //
-// Hot-path concurrency (DESIGN.md §8): the resident-sample set is striped
-// (no global store mutex), delivery dedup is worker-local and merged once
-// per drain (no per-request lock), queue operations are batched, remote
-// misses are routed to the directory-recorded holder in O(1), and plan
-// prefetches run on the loading pool overlapped with the next iteration's
-// enqueue.
+// Hot-path concurrency (DESIGN.md §8): each GPU's minibatch is one sample
+// span with one atomic chunk cursor. Drain workers claim 32-sample chunks
+// from their home GPU's cursor (stealing from the other GPUs' cursors once
+// it runs dry) and classify each sample themselves, so no index is handed
+// out twice and exactly-once holds by construction. The resident-sample set
+// is striped (no global store mutex), accounting is worker-local and merged
+// once per task, remote misses are routed to the directory-recorded holder
+// in O(1), and plan prefetches run on the loading pool overlapped with the
+// next iteration's enqueue.
 //
 // Stage timings are *accounted* in virtual time (bytes / tier rate) rather
 // than slept, so executor tests run in milliseconds; the performance story
@@ -41,7 +44,6 @@
 #include "metrics/throughput_window.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "runtime/plan.hpp"
-#include "runtime/request_queue.hpp"
 #include "sim/capacity_profile.hpp"
 
 namespace lobster::runtime {
@@ -61,8 +63,8 @@ using IterationHook =
 
 struct ExecutorConfig {
   NodeId node = 0;
-  /// Shared load-balance knob block (queue bound, pool cap, thread budget —
-  /// the same fields Algorithm 1 and the feedback balancer read). The pool
+  /// Shared load-balance knob block (pool cap, thread budget — the same
+  /// fields Algorithm 1 and the feedback balancer read). The pool
   /// cap stops oversubscribing physical cores; tests pin it explicitly to
   /// force real multi-threaded drains regardless of the host.
   core::LoadBalanceConfig balance;
@@ -106,7 +108,9 @@ struct IterationExecution {
   std::uint32_t preproc_pool_size = 0;  ///< enforced preprocessing threads
   std::uint32_t demand_requests = 0;
   std::uint32_t prefetch_requests = 0;
-  std::uint32_t spilled_requests = 0;   ///< demand requests that overflowed a queue
+  /// Always 0: there is no bounded queue to overflow. Kept for report
+  /// consumers that still read it.
+  std::uint32_t spilled_requests = 0;
   std::uint32_t local_hits = 0;
   std::uint32_t remote_fetches = 0;
   std::uint32_t pfs_fetches = 0;
@@ -130,9 +134,12 @@ struct ExecutionReport {
   /// Bad payloads *delivered* — with quarantine in place this must be 0;
   /// intercepted ones land in quarantined_payloads instead.
   std::uint64_t payload_failures = 0;
+  /// Samples claimed beyond / short of each GPU's span, summed over GPUs.
+  /// Chunks are claimed by one atomic cursor per span, so both are 0 by
+  /// construction; they are the cross-check, not the mechanism.
   std::uint64_t duplicate_deliveries = 0;
-  std::uint64_t lost_deliveries = 0;    ///< enqueued but never drained
-  std::uint64_t spilled_requests = 0;   ///< delivered via the spill path (full queue)
+  std::uint64_t lost_deliveries = 0;
+  std::uint64_t spilled_requests = 0;   ///< always 0 (see IterationExecution)
   std::uint64_t degraded_fetches = 0;   ///< re-routed around a dead peer
   /// Payloads that failed verification and were intercepted (KV entry
   /// evicted / corrupt reply re-routed / re-materialized from the PFS).
@@ -204,6 +211,19 @@ class PlanExecutor {
   bool has_sample(SampleId sample) const;
 
  private:
+  /// Where a non-resident sample is fetched from: the remote tier (KV store,
+  /// then the directory-recorded peer) when one is wired, else the PFS.
+  enum class FetchTier : std::uint8_t { kRemote, kPfs };
+
+  /// One non-local fetch: a demand sample a drain worker found non-resident,
+  /// or a plan prefetch.
+  struct LoadRequest {
+    SampleId sample = kInvalidSample;
+    Bytes bytes = 0;
+    FetchTier tier = FetchTier::kPfs;
+    IterId iter = 0;
+  };
+
   struct GpuAccounting {
     std::uint64_t local_bytes = 0;
     std::uint64_t remote_bytes = 0;
@@ -212,6 +232,7 @@ class PlanExecutor {
     std::uint32_t remote_fetches = 0;
     std::uint32_t pfs_fetches = 0;
     std::uint32_t degraded_fetches = 0;
+    std::uint32_t claimed = 0;  ///< demand samples claimed from this GPU's span
 
     void merge(const GpuAccounting& other) noexcept {
       local_bytes += other.local_bytes;
@@ -221,12 +242,20 @@ class PlanExecutor {
       remote_fetches += other.remote_fetches;
       pfs_fetches += other.pfs_fetches;
       degraded_fetches += other.degraded_fetches;
+      claimed += other.claimed;
     }
   };
 
+  /// Delivers one claimed chunk of a GPU's span: resident samples are
+  /// local hits accounted inline; the rest are classified into `misses` and
+  /// fetched through execute_batch. Everything lands in `accounting`, the
+  /// chunk owner's slot.
+  void drain_chunk(const SampleId* first, const SampleId* last, IterId iter,
+                   GpuAccounting& accounting, std::vector<LoadRequest>& misses);
+
   void execute_request(const LoadRequest& request, GpuAccounting& accounting);
 
-  /// Batched miss handling for one drained batch (DESIGN.md §8): probes the
+  /// Batched miss handling for one drained chunk (DESIGN.md §8): probes the
   /// KV tier per sample, then coalesces remote misses into ONE multi-get
   /// envelope per holder (DistributionManager::fetch_remote_many) and
   /// batch-materializes cold misses from the PFS into arena-backed buffers.
@@ -247,7 +276,7 @@ class PlanExecutor {
 
   /// Resident-sample set, striped so loading threads probing or inserting
   /// different samples never contend (the old single store mutex serialized
-  /// every enqueue probe and every fetch).
+  /// every classification probe and every fetch).
   StripedSet<SampleId> store_{64};
 
   /// Per-GPU throughput history (metrics::ThroughputWindow — the same

@@ -36,7 +36,6 @@ void append_kv(std::string& out, const char* key, bool value) {
 const char* first_flag_name(const MonitorSample& sample) noexcept {
   if (sample.straggler_gap) return "straggler_gap";
   if (sample.prefetch_outrun) return "prefetch_outrun";
-  if (sample.queue_starved) return "queue_starved";
   if (sample.trace_ring_overflow) return "trace_ring_overflow";
   if (sample.peer_down) return "peer_down";
   if (sample.retry_storm) return "retry_storm";
@@ -104,8 +103,6 @@ MonitorSample Monitor::sample_once() {
   sample.gap_frac = registry.gauge("pipeline.gap_frac").value();
   sample.bytes_consumed = registry.counter("pipeline.bytes_consumed").value();
   sample.prefetch_bytes = registry.counter("prefetch.bytes").value();
-  sample.queue_pushes = registry.counter("queue.pushes").value();
-  sample.queue_pops = registry.counter("queue.pops").value();
   sample.cache_hits = registry.counter("cache.hits").value();
   sample.cache_misses = registry.counter("cache.misses").value();
   sample.trace_emitted = tracer.emitted_events();
@@ -127,7 +124,6 @@ MonitorSample Monitor::sample_once() {
       sample.d_iterations = saturating_sub(sample.iterations, prev_.iterations);
       sample.d_bytes_consumed = saturating_sub(sample.bytes_consumed, prev_.bytes_consumed);
       sample.d_prefetch_bytes = saturating_sub(sample.prefetch_bytes, prev_.prefetch_bytes);
-      sample.d_queue_pops = saturating_sub(sample.queue_pops, prev_.queue_pops);
       sample.d_peer_down_events = saturating_sub(sample.peer_down_events, prev_.peer_down_events);
       sample.d_retries = saturating_sub(sample.retries, prev_.retries);
       sample.d_iteration_stalls = saturating_sub(sample.iteration_stalls, prev_.iteration_stalls);
@@ -139,7 +135,6 @@ MonitorSample Monitor::sample_once() {
       sample.d_iterations = sample.iterations;
       sample.d_bytes_consumed = sample.bytes_consumed;
       sample.d_prefetch_bytes = sample.prefetch_bytes;
-      sample.d_queue_pops = sample.queue_pops;
       sample.d_peer_down_events = sample.peer_down_events;
       sample.d_retries = sample.retries;
       sample.d_iteration_stalls = sample.iteration_stalls;
@@ -154,8 +149,6 @@ MonitorSample Monitor::sample_once() {
     // the same window means it is outrunning consumption.
     sample.prefetch_outrun = sample.d_prefetch_bytes > 0 &&
                              sample.d_prefetch_bytes > sample.d_bytes_consumed;
-    sample.queue_starved = sample.d_queue_pops > 0 &&
-                           saturating_sub(sample.queue_pushes, sample.queue_pops) == 0;
     sample.trace_ring_overflow = sample.trace_dropped > 0;
     // Delta-based: the flags clear on the first healthy interval after the
     // fault, instead of latching for the rest of the run.
@@ -190,7 +183,6 @@ void Monitor::emit(const MonitorSample& sample) {
     std::string flags;
     if (sample.straggler_gap) flags += " straggler_gap";
     if (sample.prefetch_outrun) flags += " prefetch_outrun";
-    if (sample.queue_starved) flags += " queue_starved";
     if (sample.trace_ring_overflow) flags += " trace_ring_overflow";
     if (sample.peer_down) flags += " peer_down";
     if (sample.retry_storm) flags += " retry_storm";
@@ -229,8 +221,6 @@ void Monitor::emit(const MonitorSample& sample) {
   append_kv(line, "cache_hit_ratio", sample.cache_hit_ratio()); line += ',';
   append_kv(line, "bytes_consumed", sample.bytes_consumed); line += ',';
   append_kv(line, "prefetch_bytes", sample.prefetch_bytes); line += ',';
-  append_kv(line, "queue_pushes", sample.queue_pushes); line += ',';
-  append_kv(line, "queue_pops", sample.queue_pops); line += ',';
   append_kv(line, "trace_emitted", sample.trace_emitted); line += ',';
   append_kv(line, "trace_dropped", sample.trace_dropped); line += ',';
   append_kv(line, "peer_down_events", sample.peer_down_events); line += ',';
@@ -246,7 +236,6 @@ void Monitor::emit(const MonitorSample& sample) {
   line += ":{";
   append_kv(line, "straggler_gap", sample.straggler_gap); line += ',';
   append_kv(line, "prefetch_outrun", sample.prefetch_outrun); line += ',';
-  append_kv(line, "queue_starved", sample.queue_starved); line += ',';
   append_kv(line, "trace_ring_overflow", sample.trace_ring_overflow); line += ',';
   append_kv(line, "peer_down", sample.peer_down); line += ',';
   append_kv(line, "retry_storm", sample.retry_storm); line += ',';

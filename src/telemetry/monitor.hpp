@@ -11,8 +11,6 @@
 //  * prefetch_outrun   — prefetched bytes grew faster than consumed bytes
 //                        over the interval (§4.4: prefetcher outrunning
 //                        training wastes cache);
-//  * queue_starved     — consumers popped during the interval but the
-//                        push/pop balance is zero (pipeline waits on I/O);
 //  * trace_ring_overflow — the tracer dropped events, so any exported
 //                        trace is truncated;
 //  * peer_down         — the runtime declared at least one peer dead since
@@ -92,8 +90,6 @@ struct MonitorSample {
   double gap_frac = 0.0;
   std::uint64_t bytes_consumed = 0;
   std::uint64_t prefetch_bytes = 0;
-  std::uint64_t queue_pushes = 0;
-  std::uint64_t queue_pops = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t trace_emitted = 0;
@@ -112,7 +108,6 @@ struct MonitorSample {
   std::uint64_t d_iterations = 0;
   std::uint64_t d_bytes_consumed = 0;
   std::uint64_t d_prefetch_bytes = 0;
-  std::uint64_t d_queue_pops = 0;
   std::uint64_t d_peer_down_events = 0;
   std::uint64_t d_retries = 0;
   std::uint64_t d_iteration_stalls = 0;
@@ -123,7 +118,6 @@ struct MonitorSample {
 
   bool straggler_gap = false;
   bool prefetch_outrun = false;
-  bool queue_starved = false;
   bool trace_ring_overflow = false;
   bool peer_down = false;
   bool retry_storm = false;
@@ -134,9 +128,9 @@ struct MonitorSample {
   bool job_preempt_storm = false;
 
   bool any_flag() const noexcept {
-    return straggler_gap || prefetch_outrun || queue_starved || trace_ring_overflow ||
-           peer_down || retry_storm || iteration_stalled || corruption_detected ||
-           job_starved || slow_node_detected || job_preempt_storm;
+    return straggler_gap || prefetch_outrun || trace_ring_overflow || peer_down ||
+           retry_storm || iteration_stalled || corruption_detected || job_starved ||
+           slow_node_detected || job_preempt_storm;
   }
   double cache_hit_ratio() const noexcept {
     const auto total = cache_hits + cache_misses;

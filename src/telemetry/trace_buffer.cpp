@@ -10,7 +10,6 @@ const char* category_name(Category category) noexcept {
     case Category::kCache: return "cache";
     case Category::kPrefetch: return "prefetch";
     case Category::kPipeline: return "pipeline";
-    case Category::kQueue: return "queue";
     case Category::kPool: return "pool";
     case Category::kExecutor: return "executor";
     case Category::kRuntime: return "runtime";

@@ -37,7 +37,6 @@ enum class Category : std::uint16_t {
   kCache,
   kPrefetch,
   kPipeline,
-  kQueue,
   kPool,
   kExecutor,
   kRuntime,

@@ -66,10 +66,6 @@ TEST(LoadBalanceConfigTest, ValidatesKnobs) {
   small_pool.max_pool_threads = 2;  // below world_size = 4
   EXPECT_EQ(small_pool.validate().code(), StatusCode::kInvalid);
 
-  LoadBalanceConfig small_queue = knobs_for();
-  small_queue.queue_capacity = 2;  // below world_size = 4
-  EXPECT_EQ(small_queue.validate().code(), StatusCode::kInvalid);
-
   // Quotas must cover every device and sum to the batch size.
   LoadBalanceConfig short_quotas = knobs_for();
   short_quotas.batch_quotas = {kBatch};

@@ -1,11 +1,13 @@
 // Concurrency coverage for the executor hot path (DESIGN.md §8): striped
 // resident-set and KV-store hammers, multi-threaded drains that must deliver
-// exactly once, the queue-overflow spill path, zero-copy KV payload sharing,
-// and directory-routed remote fetches that contact only the recorded holder.
+// exactly once, chunk stealing that never moves accounting between GPUs,
+// zero-copy KV payload sharing, and directory-routed remote fetches that
+// contact only the recorded holder.
 // These tests are the payload of the TSan CI job (LOBSTER_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -105,7 +107,7 @@ TEST(KvStoreConcurrency, GetIsZeroCopy) {
   EXPECT_EQ((*a)->size(), 4096U);
 }
 
-/// Single-node plan with `threads_per_gpu` planned loading threads per queue
+/// Plan with `threads_per_gpu` planned loading threads per GPU
 /// and no prefetches/evictions — pure demand-path drains.
 Plan drain_plan(std::uint16_t nodes, std::uint16_t gpus, std::uint32_t iters,
                 std::uint32_t batch, std::uint32_t threads_per_gpu) {
@@ -141,8 +143,8 @@ data::EpochSampler make_sampler(std::uint32_t num_samples, std::uint16_t nodes,
 }
 
 TEST(ExecutorConcurrency, MultiThreadedDrainDeliversExactlyOnce) {
-  // 3 planned threads per queue and a pinned 6-thread pool: several OS
-  // threads really do race on each queue regardless of the host's core
+  // 3 planned threads per GPU and a pinned 6-thread pool: several OS
+  // threads really do race on each claim cursor regardless of the host's core
   // count. Exactly-once delivery must survive the contention.
   constexpr std::uint16_t kGpus = 2;
   constexpr std::uint32_t kIters = 8;
@@ -165,31 +167,63 @@ TEST(ExecutorConcurrency, MultiThreadedDrainDeliversExactlyOnce) {
             static_cast<std::uint64_t>(kIters) * kGpus * kBatch);
 }
 
-TEST(ExecutorConcurrency, SpilledRequestsAreStillDeliveredExactlyOnce) {
-  // Queue capacity far below the per-iteration batch: most requests take the
-  // spill path, which must count them loudly and still deliver every one.
+TEST(ExecutorConcurrency, StealingNeverMovesAccountingBetweenGpus) {
+  // Uneven planned threads: GPU 0 gets 1 drain task, GPU 1 gets 5. With a
+  // 6-thread pool GPU 1's tasks finish first and steal GPU 0's chunks; with
+  // a 1-thread pool the lone GPU 0 task steals all of GPU 1. Accounting
+  // belongs to the GPU that owns a chunk, so the per-iteration tier counts
+  // and the virtual time (bytes / that GPU's planned threads) must not
+  // depend on who drained what — on a cold run and on the warm rerun.
   constexpr std::uint16_t kGpus = 2;
-  constexpr std::uint32_t kIters = 8;
-  constexpr std::uint32_t kBatch = 64;
-  const Plan plan = drain_plan(1, kGpus, kIters, kBatch, 2);
-  const data::SampleCatalog catalog(data::DatasetSpec::uniform(kIters * kGpus * kBatch, 1024),
-                                    plan.seed);
+  constexpr std::uint32_t kIters = 6;
+  constexpr std::uint32_t kBatch = 96;
+  Plan plan = drain_plan(1, kGpus, kIters, kBatch, 1);
+  for (auto& iteration : plan.iterations) iteration.nodes[0].load_threads = {1, 5};
+  // Non-uniform sizes, so bytes billed to the wrong GPU would move the
+  // virtual time even when the sample counts happen to match.
+  data::DatasetSpec spec;
+  spec.name = "stealing";
+  spec.num_samples = kIters * kGpus * kBatch;
+  spec.lognormal_mu = std::log(2048.0);
+  spec.lognormal_sigma = 0.5;
+  spec.max_bytes = 16384;
+  const data::SampleCatalog catalog(spec, plan.seed);
   const auto sampler = make_sampler(catalog.size(), 1, kGpus, kBatch);
+  const std::uint64_t planned = static_cast<std::uint64_t>(kIters) * kGpus * kBatch;
 
-  ExecutorConfig config;
-  config.node = 0;
-  config.balance.queue_capacity = 16;  // < kBatch → guaranteed overflow
-  config.balance.max_pool_threads = 4;
-  PlanExecutor executor(config, catalog, sampler, plan);
-  const auto report = executor.run();
+  const auto run_cold_then_warm = [&](std::uint32_t pool_threads) {
+    ExecutorConfig config;
+    config.node = 0;
+    config.balance.max_pool_threads = pool_threads;
+    PlanExecutor executor(config, catalog, sampler, plan);
+    std::vector<ExecutionReport> reports;
+    reports.push_back(executor.run());  // cold: every sample from the PFS
+    reports.push_back(executor.run());  // warm: every sample resident
+    return reports;
+  };
+  const auto serial = run_cold_then_warm(1);
+  const auto parallel = run_cold_then_warm(6);
 
-  EXPECT_TRUE(report.clean());
-  EXPECT_GT(report.spilled_requests, 0U);
-  EXPECT_EQ(report.samples_delivered,
-            static_cast<std::uint64_t>(kIters) * kGpus * kBatch);
-  std::uint64_t spilled_per_iter = 0;
-  for (const auto& iteration : report.iterations) spilled_per_iter += iteration.spilled_requests;
-  EXPECT_EQ(spilled_per_iter, report.spilled_requests);
+  for (std::size_t r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r == 0 ? "cold" : "warm");
+    for (const auto* report : {&serial[r], &parallel[r]}) {
+      EXPECT_TRUE(report->clean());
+      EXPECT_EQ(report->samples_delivered, planned);
+    }
+    ASSERT_EQ(serial[r].iterations.size(), parallel[r].iterations.size());
+    for (std::size_t i = 0; i < serial[r].iterations.size(); ++i) {
+      const auto& a = serial[r].iterations[i];
+      const auto& b = parallel[r].iterations[i];
+      EXPECT_EQ(a.local_hits, b.local_hits) << "iteration " << i;
+      EXPECT_EQ(a.remote_fetches, b.remote_fetches) << "iteration " << i;
+      EXPECT_EQ(a.pfs_fetches, b.pfs_fetches) << "iteration " << i;
+      EXPECT_EQ(a.virtual_load, b.virtual_load) << "iteration " << i;
+    }
+    EXPECT_EQ(serial[r].virtual_total, parallel[r].virtual_total);
+  }
+  std::uint64_t warm_hits = 0;
+  for (const auto& iteration : serial[1].iterations) warm_hits += iteration.local_hits;
+  EXPECT_EQ(warm_hits, planned);
 }
 
 TEST(ExecutorConcurrency, DirectoryRoutesRemoteFetchesToRecordedHolderOnly) {

@@ -44,8 +44,6 @@ TEST(Monitor, FirstSampleTreatsAbsolutesAsDeltas) {
   registry.counter("pipeline.iterations").add(4);
   registry.counter("pipeline.bytes_consumed").add(1000);
   registry.counter("prefetch.bytes").add(500);
-  registry.counter("queue.pushes").add(10);
-  registry.counter("queue.pops").add(7);
   registry.counter("cache.hits").add(3);
   registry.counter("cache.misses").add(1);
 
@@ -56,9 +54,8 @@ TEST(Monitor, FirstSampleTreatsAbsolutesAsDeltas) {
   EXPECT_EQ(sample.d_iterations, 4u);
   EXPECT_EQ(sample.d_bytes_consumed, 1000u);
   EXPECT_EQ(sample.d_prefetch_bytes, 500u);
-  EXPECT_EQ(sample.d_queue_pops, 7u);
   EXPECT_DOUBLE_EQ(sample.cache_hit_ratio(), 0.75);
-  // Consumption outpaced prefetch; queue holds 3 items; no gap, no drops.
+  // Consumption outpaced prefetch; no gap, no drops.
   EXPECT_FALSE(sample.any_flag());
 
   // Nothing moved: second sample has zero deltas and still no flags.
@@ -67,7 +64,6 @@ TEST(Monitor, FirstSampleTreatsAbsolutesAsDeltas) {
   EXPECT_EQ(idle.iterations, 4u);
   EXPECT_EQ(idle.d_iterations, 0u);
   EXPECT_EQ(idle.d_bytes_consumed, 0u);
-  EXPECT_EQ(idle.d_queue_pops, 0u);
   EXPECT_FALSE(idle.any_flag());
   EXPECT_EQ(monitor.samples_emitted(), 2u);
 }
@@ -103,29 +99,6 @@ TEST(Monitor, PrefetchOutrunComparesIntervalRates) {
   // Next interval consumption catches up: flag clears.
   registry.counter("pipeline.bytes_consumed").add(900);
   EXPECT_FALSE(monitor.sample_once().prefetch_outrun);
-}
-
-TEST(Monitor, QueueStarvationNeedsPopsWithEmptyBalance) {
-  reset_all();
-  auto& registry = MetricRegistry::instance();
-  Monitor monitor(quiet_config());
-  monitor.sample_once();  // baseline
-
-  // Consumers drained everything the producers pushed and the balance is
-  // zero while pops advanced: starving.
-  registry.counter("queue.pushes").add(5);
-  registry.counter("queue.pops").add(5);
-  EXPECT_TRUE(monitor.sample_once().queue_starved);
-
-  // Producers got ahead again: not starved even though pops advanced.
-  registry.counter("queue.pushes").add(10);
-  registry.counter("queue.pops").add(2);
-  EXPECT_FALSE(monitor.sample_once().queue_starved);
-
-  // No pops at all: an empty-but-idle queue is not starvation.
-  const MonitorSample idle = monitor.sample_once();
-  EXPECT_EQ(idle.d_queue_pops, 0u);
-  EXPECT_FALSE(idle.queue_starved);
 }
 
 #if !defined(LOBSTER_TELEMETRY_DISABLED)
@@ -206,7 +179,6 @@ TEST(Monitor, JsonlSinkWritesParseableHeartbeats) {
   EXPECT_DOUBLE_EQ(first.get_number("job_starvations"), 0.0);
   ASSERT_TRUE(first.has("flags"));
   EXPECT_TRUE(first.at("flags").get_bool("straggler_gap"));
-  EXPECT_FALSE(first.at("flags").get_bool("queue_starved"));
   EXPECT_FALSE(first.at("flags").get_bool("job_starved"));
 
   const auto second = analysis::parse_json(lines[1]);

@@ -146,7 +146,7 @@ void print_table(const Options& options, const char* title, const Table& table) 
 }
 
 Table counters_table(const analysis::TraceLog& log) {
-  // Distinct wall-clock counters (queue depths, pool sizes, cache bytes):
+  // Distinct wall-clock counters (pool sizes, cache bytes):
   // sample count plus min/max/last of each series.
   std::vector<std::string> names;
   for (const auto& event : log.events) {

@@ -49,7 +49,7 @@ RECORD_FIELDS = {
 }
 HEARTBEAT_SCHEMA = "lobster.heartbeat.v1"
 HEARTBEAT_FLAGS = {
-    "straggler_gap", "prefetch_outrun", "queue_starved", "trace_ring_overflow",
+    "straggler_gap", "prefetch_outrun", "trace_ring_overflow",
     "peer_down", "retry_storm", "iteration_stalled", "corruption_detected",
     "job_starved", "slow_node_detected", "job_preempt_storm",
 }
