@@ -16,35 +16,41 @@ KvBudgetArbiter::KvBudgetArbiter(cache::KvStore& store, Bytes budget, ImminenceF
 bool KvBudgetArbiter::make_room_locked(Bytes needed, Bytes target,
                                        cache::CacheDirectory* directory) {
   if (tracked_bytes_ + needed <= target) return true;
-  // One sweep builds the victim list farthest-first; evicting from the back
-  // keeps the sort ascending-by-imminence so we pop the most distant entry.
+  // One sweep gathers every evictable entry into a max-heap on
+  // (distance, key): the most distant entry pops first, larger key first on
+  // a tie, so the victim order does not depend on the sweep order.
   struct Victim {
-    SampleId key;
-    Bytes bytes;
     IterId distance;
+    SampleId key;
+  };
+  const auto nearer = [](const Victim& a, const Victim& b) {
+    return a.distance != b.distance ? a.distance < b.distance : a.key < b.key;
   };
   std::vector<Victim> victims;
-  victims.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    const IterId distance = imminence_(key);
-    if (distance == 0) {
-      ++stats_.protected_entries;
-      continue;  // needed this round by some job: never a victim
+  for (const auto& [ns, books] : namespaces_) {
+    for (std::size_t sample = 0; sample < books.entries.size(); ++sample) {
+      if (!books.entries[sample].live) continue;
+      const SampleId key = cache::make_namespaced_key(ns, static_cast<SampleId>(sample));
+      const IterId distance = imminence_(key);
+      if (distance == 0) {
+        ++stats_.protected_entries;
+        continue;  // needed this round by some job: never a victim
+      }
+      victims.push_back({distance, key});
     }
-    victims.push_back({key, entry.bytes, distance});
   }
-  std::sort(victims.begin(), victims.end(), [](const Victim& a, const Victim& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.key < b.key;
-  });
+  std::make_heap(victims.begin(), victims.end(), nearer);
   while (tracked_bytes_ + needed > target && !victims.empty()) {
-    const Victim victim = victims.back();
+    std::pop_heap(victims.begin(), victims.end(), nearer);
+    const SampleId key = victims.back().key;
     victims.pop_back();
-    const auto it = entries_.find(victim.key);
-    tracked_bytes_ -= it->second.bytes;
-    per_namespace_[cache::namespace_of(victim.key)] -= it->second.bytes;
-    if (directory != nullptr) directory->remove(victim.key, it->second.holder);
-    entries_.erase(it);
-    (void)store_.erase(victim.key);
+    Namespace& books = namespaces_.at(cache::namespace_of(key));
+    Entry& entry = books.entries[cache::sample_of(key)];
+    tracked_bytes_ -= entry.bytes;
+    books.bytes -= entry.bytes;
+    if (directory != nullptr) directory->remove(key, entry.holder);
+    entry = Entry{};
+    (void)store_.erase(key);
     ++stats_.evictions;
     LOBSTER_METRIC_COUNT("cluster.arbiter.evictions", 1);
   }
@@ -57,7 +63,9 @@ Status KvBudgetArbiter::publish(SampleId key, cache::KvStore::PayloadPtr payload
   const Bytes size = payload->size();
   const std::scoped_lock lock(mutex_);
   ++stats_.publishes;
-  if (const auto it = entries_.find(key); it != entries_.end()) {
+  Namespace& books = namespaces_[cache::namespace_of(key)];
+  const SampleId sample = cache::sample_of(key);
+  if (sample < books.entries.size() && books.entries[sample].live) {
     // Already cached (another node of the same namespace published first, or
     // a re-publish after rejoin): keep the existing holder, count nothing.
     return Status{};
@@ -69,9 +77,10 @@ Status KvBudgetArbiter::publish(SampleId key, cache::KvStore::PayloadPtr payload
   }
   const Status put = store_.put(key, std::move(payload));
   if (!put.ok()) return put;
-  entries_.emplace(key, Entry{size, holder});
+  if (sample >= books.entries.size()) books.entries.resize(std::size_t{sample} + 1);
+  books.entries[sample] = Entry{size, holder, true};
+  books.bytes += size;
   tracked_bytes_ += size;
-  per_namespace_[cache::namespace_of(key)] += size;
   if (directory != nullptr) directory->add(key, holder);
   return Status{};
 }
@@ -99,26 +108,25 @@ Bytes KvBudgetArbiter::bytes_tracked() const {
 
 Bytes KvBudgetArbiter::namespace_bytes(cache::NamespaceId ns) const {
   const std::scoped_lock lock(mutex_);
-  const auto it = per_namespace_.find(ns);
-  return it == per_namespace_.end() ? 0 : it->second;
+  const auto it = namespaces_.find(ns);
+  return it == namespaces_.end() ? 0 : it->second.bytes;
 }
 
 Bytes KvBudgetArbiter::drop_namespace(cache::NamespaceId ns,
                                       cache::CacheDirectory* directory) {
   const std::scoped_lock lock(mutex_);
-  Bytes freed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (cache::namespace_of(it->first) != ns) {
-      ++it;
-      continue;
-    }
-    freed += it->second.bytes;
-    if (directory != nullptr) directory->remove(it->first, it->second.holder);
-    it = entries_.erase(it);
+  const auto it = namespaces_.find(ns);
+  if (it == namespaces_.end()) return 0;
+  const std::vector<Entry>& entries = it->second.entries;
+  for (std::size_t sample = 0; sample < entries.size(); ++sample) {
+    if (!entries[sample].live) continue;
+    const SampleId key = cache::make_namespaced_key(ns, static_cast<SampleId>(sample));
+    if (directory != nullptr) directory->remove(key, entries[sample].holder);
+    (void)store_.erase(key);
   }
+  const Bytes freed = it->second.bytes;
   tracked_bytes_ -= freed;
-  per_namespace_.erase(ns);
-  (void)store_.erase_namespace(ns);
+  namespaces_.erase(it);
   return freed;
 }
 
@@ -126,19 +134,25 @@ std::vector<KvBudgetArbiter::ManifestEntry> KvBudgetArbiter::namespace_manifest(
     cache::NamespaceId ns) const {
   const std::scoped_lock lock(mutex_);
   std::vector<ManifestEntry> manifest;
-  for (const auto& [key, entry] : entries_) {
-    if (cache::namespace_of(key) == ns) manifest.push_back({key, entry.holder, entry.bytes});
+  const auto it = namespaces_.find(ns);
+  if (it == namespaces_.end()) return manifest;
+  const std::vector<Entry>& entries = it->second.entries;
+  for (std::size_t sample = 0; sample < entries.size(); ++sample) {
+    if (!entries[sample].live) continue;
+    manifest.push_back({cache::make_namespaced_key(ns, static_cast<SampleId>(sample)),
+                        entries[sample].holder, entries[sample].bytes});
   }
-  std::sort(manifest.begin(), manifest.end(),
-            [](const ManifestEntry& a, const ManifestEntry& b) { return a.key < b.key; });
   return manifest;
 }
 
 bool KvBudgetArbiter::rehome(SampleId key, NodeId holder) {
   const std::scoped_lock lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  it->second.holder = holder;
+  const auto it = namespaces_.find(cache::namespace_of(key));
+  if (it == namespaces_.end()) return false;
+  std::vector<Entry>& entries = it->second.entries;
+  const SampleId sample = cache::sample_of(key);
+  if (sample >= entries.size() || !entries[sample].live) return false;
+  entries[sample].holder = holder;
   return true;
 }
 

@@ -25,6 +25,7 @@
 #include <functional>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/directory.hpp"
 #include "cache/kv_store.hpp"
@@ -76,6 +77,8 @@ class KvBudgetArbiter {
 
   /// Forgets (and erases from the store/directory) every entry of a
   /// namespace — the dataset's last job released it. Returns bytes freed.
+  /// Walks only that namespace's books: the arbiter is the store's only
+  /// writer, so its books are exactly what the store holds there.
   Bytes drop_namespace(cache::NamespaceId ns, cache::CacheDirectory* directory);
 
   /// One live entry of a namespace, as seen by the arbiter's books — the
@@ -85,7 +88,7 @@ class KvBudgetArbiter {
     NodeId holder = 0;
     Bytes bytes = 0;
   };
-  /// Every tracked entry of `ns`, sorted by key (deterministic manifests).
+  /// Every tracked entry of `ns`, in key order (deterministic manifests).
   std::vector<ManifestEntry> namespace_manifest(cache::NamespaceId ns) const;
 
   /// Moves an entry's recorded holder (checkpoint restore onto a different
@@ -100,6 +103,14 @@ class KvBudgetArbiter {
   struct Entry {
     Bytes bytes = 0;
     NodeId holder = 0;
+    bool live = false;
+  };
+  /// One dataset's books. Sample ids are dense per dataset
+  /// (cache/namespace.hpp), so entries are indexed by sample_of(key) and a
+  /// front-to-back walk visits them in key order.
+  struct Namespace {
+    std::vector<Entry> entries;
+    Bytes bytes = 0;
   };
 
   /// Evicts until at least `needed` bytes fit under `target`; returns false
@@ -111,8 +122,7 @@ class KvBudgetArbiter {
   mutable std::mutex mutex_;
   Bytes budget_;
   Bytes tracked_bytes_ = 0;
-  std::unordered_map<SampleId, Entry> entries_;
-  std::unordered_map<cache::NamespaceId, Bytes> per_namespace_;
+  std::unordered_map<cache::NamespaceId, Namespace> namespaces_;
   Stats stats_;
 };
 

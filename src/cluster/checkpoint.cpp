@@ -14,14 +14,33 @@ namespace {
 constexpr std::size_t kMaxStringBytes = 4096;
 constexpr std::size_t kMaxVectorEntries = 1u << 26;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is the
+/// classic bytewise table, and tables[k][b] is the CRC of byte b followed by
+/// k zero bytes, so one step folds eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian load, independent of the host's byte order.
+std::uint32_t load_le32(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 class Writer {
@@ -111,10 +130,18 @@ void read_vector(Reader& reader, std::vector<T>& out, Fn&& element) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
-  static const auto table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::byte b : bytes) {
-    crc = table[(crc ^ static_cast<std::uint8_t>(b)) & 0xFF] ^ (crc >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = t[0][(crc ^ static_cast<std::uint8_t>(*p)) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

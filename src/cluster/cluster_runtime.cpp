@@ -42,7 +42,7 @@ struct IsolatedRun {
 /// reference stream every checkpointed/preempted/resized run must
 /// reproduce exactly.
 IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog,
-                         const TierRates& rates, double t_train) {
+                         const TierRates& rates, double t_train, ZeroPayloads& payloads) {
   const data::EpochSampler sampler(sampler_config_for(spec, catalog.size()));
   const std::uint32_t world = sampler.world_size();
   const std::uint32_t gpus = spec.gpus_per_node;
@@ -78,8 +78,7 @@ IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog
           demand.pfs += size;
           ++result.pfs_reads;
           result.pfs_bytes += size;
-          auto payload = std::make_shared<std::vector<std::byte>>(size);
-          (void)arbiter.publish(sample, std::move(payload), node, &directory);
+          (void)arbiter.publish(sample, payloads.get(size), node, &directory);
         }
         result.digest = delivery_digest_advance(result.digest, sample);
       }
@@ -100,6 +99,18 @@ IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog
 }
 
 }  // namespace
+
+// ---- ZeroPayloads ---------------------------------------------------------
+
+cache::KvStore::PayloadPtr ZeroPayloads::get(Bytes size) {
+  std::weak_ptr<const std::vector<std::byte>>& slot = by_size_[size];
+  cache::KvStore::PayloadPtr payload = slot.lock();
+  if (payload == nullptr) {
+    payload = std::make_shared<const std::vector<std::byte>>(size);
+    slot = payload;
+  }
+  return payload;
+}
 
 // ---- JobWindowOracle ------------------------------------------------------
 
@@ -432,7 +443,7 @@ void ClusterRuntime::restore_job(JobId id, std::uint64_t round,
     const SampleId key = cache::make_namespaced_key(job->ns, entry.sample);
     const auto holder = static_cast<NodeId>(
         job->block.first + entry.local_holder % job->block.count);
-    if (kv_.contains(key) && arbiter_.rehome(key, holder)) {
+    if (arbiter_.rehome(key, holder)) {
       directory_.add(key, holder);
       ++stat_restored_;
     } else {
@@ -547,10 +558,9 @@ void ClusterRuntime::collect_demands(RunningJob& job) {
       demand.pfs += size;
       ++outcome.pfs_reads;
       outcome.pfs_bytes += size;
-      auto payload = std::make_shared<std::vector<std::byte>>(size);
       // Best-effort: a rejected publish (kOverflow: room would need an
       // imminent victim) still delivers the sample, just uncached.
-      (void)arbiter_.publish(key, std::move(payload), global, &directory_);
+      (void)arbiter_.publish(key, payloads_.get(size), global, &directory_);
     }
     // Exactly-once delivery log: folded in permutation order, which is the
     // same order at every width — the digest a resumed run must extend
@@ -591,8 +601,9 @@ ClusterResult ClusterRuntime::run() {
     if (config_.run_isolated_baselines) {
       const JobSpec& spec = manager_.record(outcome.id).spec;
       const auto catalog = catalog_for(spec, dataset_fingerprint(spec));
-      const IsolatedRun isolated = run_isolated(
-          spec, *catalog, config_.rates, config_.t_train_s * model_train_scale(spec.model));
+      const IsolatedRun isolated =
+          run_isolated(spec, *catalog, config_.rates,
+                       config_.t_train_s * model_train_scale(spec.model), payloads_);
       outcome.isolated_s = isolated.run_s;
       outcome.isolated_pfs_reads = isolated.pfs_reads;
       outcome.isolated_digest = isolated.digest;

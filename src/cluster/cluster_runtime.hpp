@@ -94,6 +94,22 @@ class JobWindowOracle final : public data::AccessOracle {
   NodeBlock block_;
 };
 
+/// Shared immutable all-zero payloads, at most one live buffer per size.
+/// The cluster model prices bytes and never reads them, so every publish of
+/// one size shares one buffer instead of allocating and zeroing its own.
+/// The cache holds weak references: a buffer lives exactly as long as some
+/// KV entry or caller holds it, so it never keeps more bytes alive than the
+/// stores it feeds. One per run; not thread-safe.
+class ZeroPayloads {
+ public:
+  /// A payload of `size` zero bytes, shared with every other live request
+  /// of the same size.
+  cache::KvStore::PayloadPtr get(Bytes size);
+
+ private:
+  std::unordered_map<Bytes, std::weak_ptr<const std::vector<std::byte>>> by_size_;
+};
+
 struct ClusterConfig {
   std::uint16_t nodes = 64;              ///< simulated cluster size (<= 64)
   SchedulerPolicy policy = SchedulerPolicy::kFairShare;
@@ -221,6 +237,7 @@ class ClusterRuntime {
   double iteration_time(const RunningJob& job, double pfs_bps_effective) const;
 
   ClusterConfig config_;
+  ZeroPayloads payloads_;  ///< every PFS publish of the shared and isolated runs
   cache::KvStore kv_;
   cache::CacheDirectory directory_;
   NamespaceRegistry registry_;
@@ -228,11 +245,6 @@ class ClusterRuntime {
   JobManager manager_;
   FairnessTracker fairness_;
 
-  struct PendingSubmit {
-    JobSpec spec;
-    JobId id = kInvalidJob;
-  };
-  std::vector<PendingSubmit> pending_;
   bool ran_ = false;
 
   std::unordered_map<std::uint64_t, std::shared_ptr<const data::SampleCatalog>> catalogs_;

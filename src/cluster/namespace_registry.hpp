@@ -6,7 +6,7 @@
 // sample staged by one is a KV hit for the other (CoorDL-style cross-job
 // dedup). The last release of a namespace frees its id for reuse; the
 // caller is expected to drop the namespace's KV entries at that point
-// (KvStore::erase_namespace) so a later unrelated dataset can't alias
+// (KvBudgetArbiter::drop_namespace) so a later unrelated dataset can't alias
 // stale payloads.
 //
 // Thread-safe: acquire/release take a mutex; the cluster driver calls them

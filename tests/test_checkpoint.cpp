@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -85,6 +86,47 @@ TEST(DeliveryDigest, OrderSensitiveAndDeterministic) {
   for (SampleId s : {1UL, 3UL, 4UL, 1UL, 5UL}) swapped = delivery_digest_advance(swapped, s);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, swapped);  // same multiset, different order
+}
+
+// ---------------------------------------------------------------------------
+// CRC32 trailer
+// ---------------------------------------------------------------------------
+
+/// Bytewise CRC32 (IEEE, reflected): the reference the table-driven codec
+/// must match bit for bit.
+std::uint32_t crc32_bytewise(std::span<const std::byte> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    crc ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointCrc, KnownAnswer) {
+  const std::string check = "123456789";
+  const auto bytes = std::as_bytes(std::span<const char>(check.data(), check.size()));
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32_bytewise(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(CheckpointCrc, MatchesBytewiseAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLength = 4099;
+  constexpr std::size_t kAlignments = 8;
+  std::vector<std::byte> buffer(kMaxLength + kAlignments);
+  std::uint32_t state = 0x9E3779B9u;
+  for (std::byte& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(state >> 24);
+  }
+  // Every length from 0 to kMaxLength. The start offset steps once per eight
+  // lengths, so every (start alignment, tail length) pair is covered.
+  for (std::size_t length = 0; length <= kMaxLength; ++length) {
+    const std::size_t offset = (length / kAlignments) % kAlignments;
+    const std::span<const std::byte> slice(buffer.data() + offset, length);
+    ASSERT_EQ(crc32(slice), crc32_bytewise(slice)) << "length " << length;
+  }
 }
 
 // ---------------------------------------------------------------------------

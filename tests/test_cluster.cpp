@@ -208,6 +208,15 @@ TEST(KvBudgetArbiter, EvictsFarthestFutureVictimFirst) {
   EXPECT_TRUE(kv.contains(3));
   EXPECT_TRUE(kv.contains(4));
   EXPECT_EQ(arbiter.stats().evictions, 1u);
+
+  // A tie on distance evicts the larger key first.
+  distance[1] = 7;
+  distance[3] = 7;
+  distance[5] = 1;
+  EXPECT_TRUE(arbiter.publish(5, payload(1000), 0, nullptr).ok());
+  EXPECT_TRUE(kv.contains(1));
+  EXPECT_FALSE(kv.contains(3));
+  EXPECT_EQ(arbiter.stats().evictions, 2u);
 }
 
 TEST(KvBudgetArbiter, PublishRefusedWhenOnlyVictimsAreImminent) {
@@ -259,17 +268,106 @@ TEST(KvBudgetArbiter, DropNamespaceErasesStoreAndDirectory) {
   cache::CacheDirectory directory(4);
   KvBudgetArbiter arbiter(kv, 0, [](SampleId) { return kNeverIter; });
   const SampleId in_ns = cache::make_namespaced_key(2, 5);
-  const SampleId other = cache::make_namespaced_key(3, 5);
   ASSERT_TRUE(arbiter.publish(in_ns, payload(600), 0, &directory).ok());
-  ASSERT_TRUE(arbiter.publish(other, payload(700), 0, &directory).ok());
-  EXPECT_EQ(arbiter.namespace_bytes(2), 600u);
+  ASSERT_TRUE(arbiter.publish(cache::make_namespaced_key(2, 9), payload(400), 1, &directory).ok());
+  // The other namespace shares sample ids with the dropped one.
+  std::vector<SampleId> others;
+  for (const SampleId sample : {5u, 0u, 9u, 3u}) {
+    others.push_back(cache::make_namespaced_key(3, sample));
+    ASSERT_TRUE(arbiter.publish(others.back(), payload(700), sample % 4, &directory).ok());
+  }
+  EXPECT_EQ(arbiter.namespace_bytes(2), 1000u);
+  const auto other_manifest = arbiter.namespace_manifest(3);
 
-  EXPECT_EQ(arbiter.drop_namespace(2, &directory), 600u);
+  EXPECT_EQ(arbiter.drop_namespace(2, &directory), 1000u);
   EXPECT_FALSE(kv.contains(in_ns));
   EXPECT_FALSE(directory.holds(in_ns, 0));
-  EXPECT_TRUE(kv.contains(other));
-  EXPECT_EQ(arbiter.bytes_tracked(), 700u);
   EXPECT_EQ(arbiter.namespace_bytes(2), 0u);
+  EXPECT_TRUE(arbiter.namespace_manifest(2).empty());
+  EXPECT_FALSE(arbiter.rehome(in_ns, 1));
+
+  // Namespace 3 keeps every entry, byte and directory row.
+  EXPECT_EQ(arbiter.bytes_tracked(), 2800u);
+  EXPECT_EQ(arbiter.namespace_bytes(3), 2800u);
+  EXPECT_EQ(kv.bytes_in_namespace(3), 2800u);
+  const auto manifest = arbiter.namespace_manifest(3);
+  ASSERT_EQ(manifest.size(), other_manifest.size());
+  for (std::size_t i = 0; i < manifest.size(); ++i) {
+    EXPECT_EQ(manifest[i].key, other_manifest[i].key);
+    EXPECT_EQ(manifest[i].holder, other_manifest[i].holder);
+    EXPECT_EQ(manifest[i].bytes, other_manifest[i].bytes);
+  }
+  for (const SampleId key : others) {
+    EXPECT_TRUE(kv.contains(key));
+    EXPECT_TRUE(directory.holds(key, static_cast<NodeId>(cache::sample_of(key) % 4)));
+  }
+}
+
+TEST(KvBudgetArbiter, ManifestIsCompleteAndKeySortedAcrossEvictions) {
+  cache::KvStore kv(4);
+  cache::CacheDirectory directory(4);
+  // Distances vary with the key so victims come from every namespace.
+  const auto distance = [](SampleId key) -> IterId {
+    return 1 + (cache::sample_of(key) * 7 + cache::namespace_of(key) * 3) % 11;
+  };
+  KvBudgetArbiter arbiter(kv, 40 * 1000, distance);
+
+  // Interleave publishes across three namespaces in a scrambled sample
+  // order; the budget holds 40 of the 90 entries, so evictions interleave
+  // with the publishes.
+  for (SampleId i = 0; i < 30; ++i) {
+    const SampleId sample = (i * 17) % 30;
+    for (const cache::NamespaceId ns : {1u, 2u, 3u}) {
+      const SampleId key = cache::make_namespaced_key(ns, sample);
+      ASSERT_TRUE(arbiter.publish(key, payload(1000), (sample + ns) % 4, &directory).ok());
+    }
+  }
+  EXPECT_EQ(arbiter.stats().evictions, 50u);
+  EXPECT_EQ(arbiter.bytes_tracked(), 40u * 1000);
+
+  std::size_t listed = 0;
+  for (const cache::NamespaceId ns : {1u, 2u, 3u}) {
+    const auto manifest = arbiter.namespace_manifest(ns);
+    // Complete: exactly the keys the store still holds, in key order.
+    const std::vector<SampleId> stored = kv.keys_in_namespace(ns);
+    ASSERT_EQ(manifest.size(), stored.size()) << "namespace " << ns;
+    Bytes bytes = 0;
+    for (std::size_t i = 0; i < manifest.size(); ++i) {
+      EXPECT_EQ(manifest[i].key, stored[i]);
+      if (i > 0) {
+        EXPECT_LT(manifest[i - 1].key, manifest[i].key);
+      }
+      const SampleId sample = cache::sample_of(manifest[i].key);
+      EXPECT_EQ(manifest[i].holder, (sample + ns) % 4);
+      EXPECT_EQ(manifest[i].bytes, 1000u);
+      EXPECT_TRUE(directory.holds(manifest[i].key, manifest[i].holder));
+      bytes += manifest[i].bytes;
+    }
+    EXPECT_EQ(bytes, arbiter.namespace_bytes(ns));
+    listed += manifest.size();
+  }
+  EXPECT_EQ(listed, 40u);
+}
+
+TEST(ZeroPayloads, OneSharedZeroBufferPerSize) {
+  ZeroPayloads payloads;
+  const auto a = payloads.get(4096);
+  const auto b = payloads.get(4096);
+  const auto small = payloads.get(100);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, small);
+  ASSERT_EQ(a->size(), 4096u);
+  ASSERT_EQ(small->size(), 100u);
+  for (const std::byte byte : *a) ASSERT_EQ(byte, std::byte{0});
+  for (const std::byte byte : *small) ASSERT_EQ(byte, std::byte{0});
+
+  // The cache does not own its buffers: the last holder frees one.
+  std::weak_ptr<const std::vector<std::byte>> watch;
+  {
+    const auto held = payloads.get(777);
+    watch = held;
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 // ---------------------------------------------------------------------------
@@ -435,6 +533,52 @@ TEST(ClusterRuntime, GlobalBudgetBoundsKvFootprintWithoutBreakingDelivery) {
   // store never ends above it.
   EXPECT_GT(result.arbiter.evictions + result.arbiter.rejected_publishes, 0u);
   EXPECT_GT(result.arbiter.publishes, 0u);  // every PFS fetch routed via the arbiter
+}
+
+TEST(ClusterRuntime, BudgetedPreemptiveRunPinsArbiterCounts) {
+  telemetry::MetricRegistry::instance().reset();
+  ClusterConfig config;
+  config.nodes = 8;
+  config.policy = SchedulerPolicy::kFairSharePreemptive;
+  config.preemption.min_deficit = 1.0;
+  config.preemption.min_deficit_gap = 0.5;
+  config.preemption.cooldown_rounds = 2;
+  config.preemption.max_victims = 1;
+  config.elastic_resize = false;
+  // Two datasets of 256 x 4 KB = 1 MB each under a budget of 60 entries:
+  // publishes, imminence-ordered evictions, refusals, checkpoint manifests
+  // and restores all interleave across both namespaces.
+  config.kv_budget = 60 * 4096;
+  ClusterRuntime runtime(config);
+  auto first = small_spec("first", 4, 5);
+  first.epochs = 3;
+  runtime.submit(first);
+  auto second = small_spec("second", 4, 6);
+  second.epochs = 3;
+  runtime.submit(second);
+  auto burst = small_spec("burst", 4, 5);
+  burst.epochs = 1;
+  burst.weight = 4.0;
+  burst.arrival_round = 2;
+  runtime.submit(burst);
+
+  const auto result = runtime.run();
+  ASSERT_EQ(result.jobs.size(), 3u);
+  for (const auto& job : result.jobs) {
+    EXPECT_EQ(job.state, JobState::kFinished) << job.name;
+    EXPECT_EQ(job.samples_delivered, job.samples_expected) << job.name;
+  }
+  EXPECT_GE(result.preemptions, 1u);
+  // Exact counts of this seed-fixed run. Evicting in another distance
+  // order, protecting other entries or restoring another manifest moves at
+  // least one of them.
+  EXPECT_EQ(result.arbiter.evictions, 1563u);
+  EXPECT_EQ(result.arbiter.protected_entries, 51851u);
+  EXPECT_EQ(result.arbiter.rejected_publishes, 104u);
+  EXPECT_EQ(result.total_pfs_reads, 1755u);
+  EXPECT_EQ(result.residency_restored, 3u);
+  EXPECT_EQ(result.residency_lost, 181u);
+  EXPECT_EQ(result.digest_matches, 3u);
 }
 
 }  // namespace
