@@ -138,25 +138,6 @@ std::vector<SampleId> KvStore::keys_in_namespace(std::uint32_t ns) const {
   return keys;
 }
 
-std::size_t KvStore::erase_namespace(std::uint32_t ns) {
-  std::size_t erased = 0;
-  for (auto& shard : shards_) {
-    const std::scoped_lock lock(shard.mutex);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      if (namespace_of(it->first) != ns) {
-        ++it;
-        continue;
-      }
-      shard.bytes -= it->second->size();
-      total_bytes_.fetch_sub(it->second->size(), std::memory_order_relaxed);
-      it = shard.entries.erase(it);
-      ++shard.stats.erases;
-      ++erased;
-    }
-  }
-  return erased;
-}
-
 KvStore::Stats KvStore::stats() const {
   Stats total;
   for (const auto& shard : shards_) {

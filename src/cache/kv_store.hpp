@@ -69,10 +69,6 @@ class KvStore {
   /// Aggregates over shards — not a hot-path call.
   Bytes bytes_in_namespace(std::uint32_t ns) const;
 
-  /// Drops every entry of a namespace (a dataset's last job released it).
-  /// Returns the number of entries erased.
-  std::size_t erase_namespace(std::uint32_t ns);
-
   /// Sorted keys currently held under one namespace — the store-truth side
   /// of a checkpoint residency manifest (DESIGN.md §13): restore replays
   /// only entries the store still holds, and the sort keeps manifests

@@ -100,7 +100,7 @@ class FutureAccessOracle final : public AccessOracle {
 /// use is the earliest across jobs, remaining uses sum, and "needed by
 /// another node" is true if any job needs it elsewhere. All member oracles
 /// must report in a common iteration timeline (jobs advancing in lockstep,
-/// as the multi-job simulator schedules them).
+/// as pipeline::TrainingSimulator schedules several jobs).
 class MergedAccessOracle final : public AccessOracle {
  public:
   explicit MergedAccessOracle(std::vector<const AccessOracle*> members);

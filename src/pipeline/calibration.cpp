@@ -48,7 +48,8 @@ ExperimentPreset preset_imagenet22k_multi_node(double scale, std::uint16_t nodes
                                                const std::string& model) {
   auto preset = base_preset("imagenet22k-multinode", data::DatasetSpec::imagenet22k(scale),
                             kCacheFraction22K, nodes, model);
-  preset.id += "-" + std::to_string(nodes);
+  preset.id += '-';
+  preset.id += std::to_string(nodes);
   return preset;
 }
 
@@ -56,7 +57,8 @@ ExperimentPreset preset_imagenet1k_multi_node(double scale, std::uint16_t nodes,
                                               const std::string& model) {
   auto preset = base_preset("imagenet1k-multinode", data::DatasetSpec::imagenet1k(scale),
                             kCacheFraction1K, nodes, model);
-  preset.id += "-" + std::to_string(nodes);
+  preset.id += '-';
+  preset.id += std::to_string(nodes);
   return preset;
 }
 

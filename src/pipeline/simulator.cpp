@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -29,18 +30,29 @@ struct TrainingSimulator::NodeState {
   double last_load_threads = 1.0;
 };
 
+/// One training job over the shared dataset: its own shuffle, future
+/// accesses, staging plan and compute model (T_train differs per model).
+struct TrainingSimulator::Job {
+  std::unique_ptr<data::EpochSampler> sampler;
+  std::unique_ptr<data::FutureAccessOracle> oracle;
+  std::unique_ptr<cache::Prefetcher> prefetcher;
+  TrainerModel trainer;
+  std::unique_ptr<core::PerfModel> perf_model;
+};
+
 namespace {
 
-/// Mean-one lognormal noise factor, deterministic in the stream ids.
-double io_noise(std::uint64_t seed, IterId iter, NodeId node, GpuId gpu, double sigma) {
+/// Mean-one lognormal noise factor, deterministic in the stream ids (the
+/// run-loop slot, node and GPU).
+double io_noise(std::uint64_t seed, IterId slot, NodeId node, GpuId gpu, double sigma) {
   if (sigma <= 0.0) return 1.0;
-  Rng rng(derive_seed(seed, iter, (static_cast<std::uint64_t>(node) << 20) | gpu, 0x10C0DEULL));
+  Rng rng(derive_seed(seed, slot, (static_cast<std::uint64_t>(node) << 20) | gpu, 0x10C0DEULL));
   return std::exp(rng.normal(0.0, sigma) - sigma * sigma / 2.0);
 }
 
-bool pfs_burst(std::uint64_t seed, IterId iter, NodeId node, double probability) {
+bool pfs_burst(std::uint64_t seed, IterId slot, NodeId node, double probability) {
   if (probability <= 0.0) return false;
-  Rng rng(derive_seed(seed, iter, node, 0xB5257ULL));
+  Rng rng(derive_seed(seed, slot, node, 0xB5257ULL));
   return rng.uniform() < probability;
 }
 
@@ -111,22 +123,17 @@ struct RunTrace {
 
 }  // namespace
 
-TrainingSimulator::TrainingSimulator(SimulationConfig config)
-    : config_(std::move(config)), trainer_(TrainerModel::by_name(config_.preset.model)) {
+TrainingSimulator::TrainingSimulator(SimulationConfig config) : config_(std::move(config)) {
   const auto& preset = config_.preset;
   if (preset.epochs == 0) throw std::invalid_argument("TrainingSimulator: epochs == 0");
+  std::vector<std::string> models = config_.job_models;
+  if (models.empty()) models.push_back(preset.model);
+  if (models.size() > 1 && (config_.record_plan != nullptr || config_.record_trace != nullptr)) {
+    throw std::invalid_argument(
+        "TrainingSimulator: plan and trace recording have no job dimension (one job only)");
+  }
 
   catalog_ = std::make_unique<data::SampleCatalog>(preset.dataset, preset.seed);
-
-  data::SamplerConfig sampler_config;
-  sampler_config.num_samples = catalog_->size();
-  sampler_config.nodes = preset.cluster.nodes;
-  sampler_config.gpus_per_node = preset.cluster.gpus_per_node;
-  sampler_config.batch_size = preset.batch_size;
-  sampler_config.seed = preset.seed;
-  sampler_ = std::make_unique<data::EpochSampler>(sampler_config);
-
-  oracle_ = std::make_unique<data::FutureAccessOracle>(*sampler_, config_.oracle_window_epochs);
 
   const bool needs_directory =
       config_.strategy.distributed_cache || config_.strategy.eviction_policy == "lobster";
@@ -146,12 +153,33 @@ TrainingSimulator::TrainingSimulator(SimulationConfig config)
       *preproc_truth_, reference_sizes, max_preproc_threads, /*repeats=*/3, preset.seed);
   knee_preproc_threads_ = preproc_portfolio_->optimal_threads(mean);
 
-  perf_model_ = std::make_unique<core::PerfModel>(*storage_, *preproc_portfolio_,
-                                                  trainer_.t_train);
-
-  if (config_.strategy.prefetching) {
-    prefetcher_ = std::make_unique<cache::Prefetcher>(*sampler_, *catalog_,
-                                                      config_.strategy.prefetch_lookahead);
+  std::vector<const data::AccessOracle*> oracles;
+  for (std::size_t j = 0; j < models.size(); ++j) {
+    auto job = std::make_unique<Job>();
+    data::SamplerConfig sampler_config;
+    sampler_config.num_samples = catalog_->size();
+    sampler_config.nodes = preset.cluster.nodes;
+    sampler_config.gpus_per_node = preset.cluster.gpus_per_node;
+    sampler_config.batch_size = preset.batch_size;
+    sampler_config.seed = j == 0 ? preset.seed : derive_seed(preset.seed, 0x10BB5ULL, j);
+    job->sampler = std::make_unique<data::EpochSampler>(sampler_config);
+    job->oracle =
+        std::make_unique<data::FutureAccessOracle>(*job->sampler, config_.oracle_window_epochs);
+    if (config_.strategy.prefetching) {
+      job->prefetcher = std::make_unique<cache::Prefetcher>(*job->sampler, *catalog_,
+                                                            config_.strategy.prefetch_lookahead);
+    }
+    job->trainer = TrainerModel::by_name(models[j]);
+    job->perf_model = std::make_unique<core::PerfModel>(*storage_, *preproc_portfolio_,
+                                                        job->trainer.t_train);
+    oracles.push_back(job->oracle.get());
+    jobs_.push_back(std::move(job));
+  }
+  if (jobs_.size() == 1) {
+    oracle_ = oracles.front();
+  } else {
+    merged_oracle_ = std::make_unique<data::MergedAccessOracle>(std::move(oracles));
+    oracle_ = merged_oracle_.get();
   }
 
   for (NodeId n = 0; n < preset.cluster.nodes; ++n) {
@@ -160,7 +188,7 @@ TrainingSimulator::TrainingSimulator(SimulationConfig config)
     state->cache = std::make_unique<cache::TieredNodeCache>(
         n, preset.cluster.cache_bytes, preset.cluster.ssd_cache_bytes,
         config_.strategy.eviction_policy, config_.strategy.eviction_policy, *catalog_,
-        directory_.get(), oracle_.get(), sampler_->iterations_per_epoch());
+        directory_.get(), oracle_, jobs_.front()->sampler->iterations_per_epoch());
     nodes_.push_back(std::move(state));
   }
 }
@@ -175,10 +203,10 @@ double TrainingSimulator::numa_factor() const noexcept {
 }
 
 std::vector<core::GpuDemand> TrainingSimulator::classify_and_fetch(
-    NodeState& node, std::uint32_t epoch, std::uint32_t h,
+    const Job& job, NodeState& node, std::uint32_t epoch, std::uint32_t h,
     std::vector<GpuIterRecord>& records, std::vector<std::vector<sim::Fetch>>* fetch_lists) {
   const auto& preset = config_.preset;
-  const IterId now = sampler_->global_iter(epoch, h);
+  const IterId now = job.sampler->global_iter(epoch, h);
   const std::uint16_t gpus = preset.cluster.gpus_per_node;
   std::vector<core::GpuDemand> demands(gpus);
 
@@ -186,7 +214,7 @@ std::vector<core::GpuDemand> TrainingSimulator::classify_and_fetch(
   // samples another GPU needs this very iteration.
   std::vector<std::vector<SampleId>> batches(gpus);
   for (GpuId g = 0; g < gpus; ++g) {
-    batches[g] = sampler_->minibatch(epoch, h, node.id, g);
+    batches[g] = job.sampler->minibatch(epoch, h, node.id, g);
     for (const SampleId s : batches[g]) node.cache->pin(s);
   }
 
@@ -244,9 +272,8 @@ std::vector<core::GpuDemand> TrainingSimulator::classify_and_fetch(
 }
 
 TrainingSimulator::ThreadDecision TrainingSimulator::decide_threads(
-    NodeState& node, const std::vector<core::GpuDemand>& demands,
+    const Job& job, const std::vector<core::GpuDemand>& demands,
     const storage::Contention& contention) {
-  (void)node;
   const auto& preset = config_.preset;
   const auto& strategy = config_.strategy;
   const std::uint16_t gpus = preset.cluster.gpus_per_node;
@@ -263,7 +290,7 @@ TrainingSimulator::ThreadDecision TrainingSimulator::decide_threads(
     } else {
       core::AllocatorConfig alloc_config = config_.allocator;
       alloc_config.balance.total_load_threads = preset.cluster.cpu_threads;
-      const core::ThreadAllocator allocator(*perf_model_, alloc_config);
+      const core::ThreadAllocator allocator(*job.perf_model, alloc_config);
       const auto alloc = strategy.thread_policy == ThreadPolicy::kProportional
                              ? core::AllocationResult{allocator.proportional_allocation(demands),
                                                       {}, 0.0, false, 0}
@@ -301,7 +328,7 @@ TrainingSimulator::ThreadDecision TrainingSimulator::decide_threads(
   if (strategy.thread_policy == ThreadPolicy::kProportional) {
     core::AllocatorConfig alloc_config = config_.allocator;
     alloc_config.balance.total_load_threads = load_budget(preproc_per_gpu);
-    const core::ThreadAllocator allocator(*perf_model_, alloc_config);
+    const core::ThreadAllocator allocator(*job.perf_model, alloc_config);
     const auto alloc = allocator.proportional_allocation(demands);
     for (std::size_t j = 0; j < alloc.size(); ++j) decision.load_threads[j] = alloc[j];
     decision.preproc_threads_per_gpu = preproc_per_gpu;
@@ -315,7 +342,7 @@ TrainingSimulator::ThreadDecision TrainingSimulator::decide_threads(
   for (std::uint32_t steal = 0;; ++steal) {
     core::AllocatorConfig alloc_config = config_.allocator;
     alloc_config.balance.total_load_threads = load_budget(preproc_per_gpu);
-    const core::ThreadAllocator allocator(*perf_model_, alloc_config);
+    const core::ThreadAllocator allocator(*job.perf_model, alloc_config);
     best = allocator.allocate(demands, preproc_per_gpu, contention);
 
     const double worst_dif =
@@ -334,7 +361,7 @@ TrainingSimulator::ThreadDecision TrainingSimulator::decide_threads(
     }
     const Seconds preproc_after = preproc_portfolio_->predict_batch_time(
         preproc_per_gpu - 1, worst_batch, worst_samples);
-    if (preproc_after >= trainer_.t_train) break;  // §4.1: preproc must not bottleneck
+    if (preproc_after >= job.trainer.t_train) break;  // §4.1: preproc must not bottleneck
     --preproc_per_gpu;
   }
   for (std::size_t j = 0; j < best.threads.size(); ++j) {
@@ -344,12 +371,13 @@ TrainingSimulator::ThreadDecision TrainingSimulator::decide_threads(
   return decision;
 }
 
-void TrainingSimulator::reuse_sweep(NodeState& node, std::uint32_t epoch, std::uint32_t h) {
-  const IterId now = sampler_->global_iter(epoch, h);
-  const std::uint32_t I = sampler_->iterations_per_epoch();
+void TrainingSimulator::reuse_sweep(const Job& job, NodeState& node, std::uint32_t epoch,
+                                    std::uint32_t h) {
+  const IterId now = job.sampler->global_iter(epoch, h);
+  const std::uint32_t I = job.sampler->iterations_per_epoch();
   // "after iteration h has finished, we can check the next reuse distance of
   // each training sample d_k in B^h" (§4.4).
-  for (const SampleId s : sampler_->node_batch(epoch, h, node.id)) {
+  for (const SampleId s : job.sampler->node_batch(epoch, h, node.id)) {
     if (!node.cache->peek(s)) continue;
     // Reuse count policy: no further uses on this node -> evict, unless this
     // is the group's last copy of a sample some node still needs.
@@ -373,10 +401,10 @@ void TrainingSimulator::reuse_sweep(NodeState& node, std::uint32_t epoch, std::u
   }
 }
 
-void TrainingSimulator::prefetch(NodeState& node, std::uint32_t epoch, std::uint32_t h,
-                                 Seconds iteration_duration, const storage::TierBytes& demand,
-                                 double total_load_threads) {
-  if (prefetcher_ == nullptr || iteration_duration <= 0.0) return;
+void TrainingSimulator::prefetch(const Job& job, NodeState& node, std::uint32_t epoch,
+                                 std::uint32_t h, Seconds iteration_duration,
+                                 const storage::TierBytes& demand, double total_load_threads) {
+  if (job.prefetcher == nullptr || iteration_duration <= 0.0) return;
   const auto& params = storage_->params();
   // Staging runs in the background for the whole iteration using the
   // strategy's own loading threads (DALI's 3 threads stage slower than a
@@ -405,10 +433,10 @@ void TrainingSimulator::prefetch(NodeState& node, std::uint32_t epoch, std::uint
   }
   if (pfs_capacity <= 0.0 && remote_capacity <= 0.0) return;
 
-  const auto plan = prefetcher_->plan(node.id, epoch, h, *node.cache, directory_.get(),
-                                      static_cast<Bytes>(remote_capacity),
-                                      static_cast<Bytes>(pfs_capacity), config_.preset.epochs);
-  const IterId now = sampler_->global_iter(epoch, h);
+  const auto plan = job.prefetcher->plan(node.id, epoch, h, *node.cache, directory_.get(),
+                                         static_cast<Bytes>(remote_capacity),
+                                         static_cast<Bytes>(pfs_capacity), config_.preset.epochs);
+  const IterId now = job.sampler->global_iter(epoch, h);
   for (const auto& candidate : plan.fetches) {
     const IterId reuse = candidate.first_use > now ? candidate.first_use - now : 0;
     node.cache->insert(candidate.sample, now, reuse);
@@ -420,7 +448,8 @@ SimulationResult TrainingSimulator::run() {
   const auto& preset = config_.preset;
   const std::uint16_t gpus = preset.cluster.gpus_per_node;
   const std::uint32_t total_gpus = preset.cluster.total_gpus();
-  const std::uint32_t I = sampler_->iterations_per_epoch();
+  const std::size_t job_count = jobs_.size();
+  const std::uint32_t I = jobs_.front()->sampler->iterations_per_epoch();
 
   LOBSTER_TRACE_SPAN_ARG(kPipeline, "simulate", preset.cluster.nodes);
   const RunTrace trace = RunTrace::begin(preset.cluster.nodes);
@@ -428,8 +457,11 @@ SimulationResult TrainingSimulator::run() {
   // all nodes on one clock.
   Seconds trace_cursor = 0.0;
 
-  RunMetrics metrics(preset.epochs, I, total_gpus, config_.detail_epoch_lo,
-                     config_.detail_epoch_hi);
+  std::vector<RunMetrics> metrics;
+  for (std::size_t j = 0; j < job_count; ++j) {
+    metrics.emplace_back(preset.epochs, I, total_gpus, config_.detail_epoch_lo,
+                         config_.detail_epoch_hi);
+  }
 
   if (config_.record_plan != nullptr) {
     auto& plan = *config_.record_plan;
@@ -445,334 +477,346 @@ SimulationResult TrainingSimulator::run() {
 
   std::uint64_t samples_done = 0;
 
-  for (std::uint32_t epoch = 0; epoch < preset.epochs; ++epoch) {
-    oracle_->rebase(epoch);
-    for (auto& node : nodes_) node->cache->on_epoch(sampler_->global_iter(epoch, 0));
-    if (trace.on) {
-      // Epoch boundary marker: lets the analyzer segment the virtual
-      // timeline into epochs (warm-up exclusion, per-epoch breakdowns)
-      // without knowing the sampler's iteration count.
-      telemetry::Tracer::instance().instant_at(telemetry::Category::kPipeline,
-                                               trace.name_epoch_begin, trace.cluster_track,
-                                               trace_cursor, epoch);
-    }
-
-    for (std::uint32_t h = 0; h < I; ++h) {
-      const IterId now = sampler_->global_iter(epoch, h);
-      IterationRecord record;
-      record.iter = now;
-      record.epoch = epoch;
-      record.gpus.resize(total_gpus);
-
-      if (config_.record_plan != nullptr) {
-        config_.record_plan->iterations.emplace_back();
-        plan_iter_ = &config_.record_plan->iterations.back();
-        plan_iter_->iter = now;
-        plan_iter_->nodes.resize(nodes_.size());
-      }
-
-      // ---- 1. classification + cache fill, per node
-      std::vector<std::vector<core::GpuDemand>> demands(nodes_.size());
-      std::vector<std::vector<std::vector<sim::Fetch>>> fetch_lists;
-      if (config_.des_loading) {
-        fetch_lists.assign(nodes_.size(), std::vector<std::vector<sim::Fetch>>(gpus));
-      }
-      for (auto& node : nodes_) {
-        // Cache hits/misses/evictions inside classify land on this node's
-        // virtual track at the iteration start.
-        const telemetry::VirtualTimeScope vt_scope(
-            trace.on ? trace.io_tracks[node->id] : 0, trace_cursor);
-        demands[node->id] = classify_and_fetch(
-            *node, epoch, h, record.gpus,
-            config_.des_loading ? &fetch_lists[node->id] : nullptr);
-      }
-
-      // ---- 2. contention census
-      storage::Contention base;
-      base.pfs_readers_cluster = 0;
-      std::vector<storage::Contention> node_contention(nodes_.size());
-      for (auto& node : nodes_) {
-        auto& c = node_contention[node->id];
-        c.local_readers_node = c.ssd_readers_node = c.remote_readers_node = 0;
-        c.pfs_readers_node = 0;
-        for (const auto& d : demands[node->id]) {
-          if (d.bytes.local > 0) ++c.local_readers_node;
-          if (d.bytes.ssd > 0) ++c.ssd_readers_node;
-          if (d.bytes.remote > 0) ++c.remote_readers_node;
-          if (d.bytes.pfs > 0) {
-            ++c.pfs_readers_node;
-            ++base.pfs_readers_cluster;
-          }
-        }
-      }
-      for (auto& c : node_contention) {
-        c.pfs_readers_cluster = std::max<std::uint32_t>(base.pfs_readers_cluster, 1);
-        c.local_readers_node = std::max<std::uint32_t>(c.local_readers_node, 1);
-        c.ssd_readers_node = std::max<std::uint32_t>(c.ssd_readers_node, 1);
-        c.remote_readers_node = std::max<std::uint32_t>(c.remote_readers_node, 1);
-        c.pfs_readers_node = std::max<std::uint32_t>(c.pfs_readers_node, 1);
-      }
-
-      // ---- 3. per-node thread decisions + ground-truth stage times
-      Seconds t_max = 0.0;
-      Seconds t_min = std::numeric_limits<Seconds>::infinity();
-      bool loading_bottleneck = false;
-
-      for (auto& node : nodes_) {
-        const auto& contention = node_contention[node->id];
-        const auto decision = decide_threads(*node, demands[node->id], contention);
-
-        // DES loading mode: emergent per-GPU load times from the fetch
-        // replay (shared tier resources) replace the Eq. 1 pricing below.
-        sim::ReplayResult replay;
-        if (config_.des_loading) {
-          std::vector<sim::GpuWork> work(gpus);
-          for (GpuId g = 0; g < gpus; ++g) {
-            work[g].fetches = std::move(fetch_lists[node->id][g]);
-            work[g].threads =
-                std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
-                                               decision.load_threads[g] + 0.5));
-          }
-          replay = sim::replay_node_iteration(work, storage_->params(),
-                                              contention.pfs_readers_cluster);
-        }
-        if (plan_iter_ != nullptr) {
-          auto& node_plan = plan_iter_->nodes[node->id];
-          node_plan.preproc_threads =
-              static_cast<std::uint32_t>(decision.preproc_threads_per_gpu + 0.5);
-          node_plan.load_threads.assign(decision.load_threads.size(), 0);
-          for (std::size_t j = 0; j < decision.load_threads.size(); ++j) {
-            node_plan.load_threads[j] =
-                std::max<std::uint32_t>(1, static_cast<std::uint32_t>(decision.load_threads[j] + 0.5));
-          }
-        }
-
-        double load_sum = 0.0;
-        Seconds max_pipeline = 0.0;
-        Seconds node_load_max = 0.0;
-        Seconds node_preproc_max = 0.0;
-        Seconds node_train_max = 0.0;
-        // Tier decomposition of the node's slowest load (traced so the
-        // analyzer can reconstruct the Fig. 3 fetch-tier shares).
-        struct TierSeconds {
-          Seconds local = 0.0, ssd = 0.0, remote = 0.0, pfs = 0.0;
-        } node_tier;
-        const bool burst =
-            pfs_burst(preset.seed, now, node->id, preset.noise.burst_probability);
-
-        for (GpuId g = 0; g < gpus; ++g) {
-          auto& gpu_record = record.gpus[flat_gpu_rank({node->id, g}, gpus)];
-          const auto& demand = demands[node->id][g];
-          const double threads = decision.load_threads[g];
-          load_sum += threads;
-
-          auto breakdown = storage_->load_time_breakdown(
-              demand.bytes, storage::ThreadAlloc::uniform(threads), contention);
-          const double noise =
-              io_noise(preset.seed, now, node->id, g, preset.noise.io_sigma);
-          const double numa = numa_factor();
-          breakdown.local *= numa;
-          Seconds load;
-          if (config_.des_loading) {
-            // Emergent base time; noise/bursts scale the network-bound share.
-            const Seconds base_load = replay.gpu_load_time[g];
-            const Bytes slow_bytes = demand.bytes.remote + demand.bytes.pfs;
-            const double slow_fraction =
-                demand.bytes.total() > 0
-                    ? static_cast<double>(slow_bytes) / static_cast<double>(demand.bytes.total())
-                    : 0.0;
-            double factor = 1.0 + slow_fraction * (noise - 1.0);
-            if (burst) factor *= 1.0 + slow_fraction * (preset.noise.burst_multiplier - 1.0);
-            load = base_load * factor;
-          } else {
-            load = breakdown.local + breakdown.ssd +
-                   (breakdown.remote + breakdown.pfs) * noise;
-            if (burst) {
-              load = breakdown.local + breakdown.ssd +
-                     (breakdown.remote + breakdown.pfs) * noise * preset.noise.burst_multiplier;
-            }
-          }
-          const double preproc_noise =
-              io_noise(preset.seed, now, node->id, g + 1024, preset.noise.preproc_sigma);
-          const bool on_gpu = config_.strategy.gpu_preprocessing;
-          const Seconds preproc =
-              (on_gpu ? preproc_truth_->gpu_batch_time(demand.bytes.total(), demand.samples)
-                      : preproc_truth_->batch_time(decision.preproc_threads_per_gpu,
-                                                   demand.bytes.total(), demand.samples) *
-                            numa) *
-              preproc_noise;
-          Seconds train = trainer_.iteration_time(preset.seed, now, node->id, g);
-          // GPU-side preprocessing serializes with the forward/backward pass
-          // on the same device, so it stretches the training stage instead
-          // of the CPU pipeline.
-          if (on_gpu) train += preproc;
-
-          gpu_record.load = load;
-          gpu_record.preproc = preproc;
-          gpu_record.train = train;
-          gpu_record.load_threads = threads;
-          gpu_record.preproc_threads = decision.preproc_threads_per_gpu;
-
-          const Seconds pipeline = on_gpu ? load : load + preproc;
-          const Seconds gpu_time = std::max(pipeline, train);
-          if (pipeline > train) loading_bottleneck = true;
-          t_max = std::max(t_max, gpu_time);
-          t_min = std::min(t_min, gpu_time);
-          max_pipeline = std::max(max_pipeline, pipeline);
-          if (load > node_load_max) {
-            node_load_max = load;
-            if (trace.on) {
-              // Decompose the slowest GPU's load exactly as billed above; in
-              // DES mode the analytic components only set the proportions.
-              const double slow_noise =
-                  burst ? noise * preset.noise.burst_multiplier : noise;
-              node_tier = {breakdown.local, breakdown.ssd, breakdown.remote * slow_noise,
-                           breakdown.pfs * slow_noise};
-              const Seconds analytic =
-                  node_tier.local + node_tier.ssd + node_tier.remote + node_tier.pfs;
-              if (config_.des_loading) {
-                const double rescale = analytic > 0.0 ? load / analytic : 0.0;
-                node_tier.local *= rescale;
-                node_tier.ssd *= rescale;
-                node_tier.remote *= rescale;
-                node_tier.pfs *= rescale;
-                if (analytic <= 0.0) node_tier.local = load;
-              }
-            }
-          }
-          node_preproc_max = std::max(node_preproc_max, preproc);
-          node_train_max = std::max(node_train_max, train);
-          samples_done += demand.samples;
-        }
-        if (trace.on) {
-          // Slowest-GPU stage spans on the node's virtual tracks: the
-          // load→preproc chain on the pipeline track, training on its own.
-          auto& tracer = telemetry::Tracer::instance();
-          const auto io_track = trace.io_tracks[node->id];
-          Bytes node_bytes = 0;
-          for (const auto& d : demands[node->id]) node_bytes += d.bytes.total();
-          tracer.complete_at(telemetry::Category::kPipeline, trace.name_load, io_track,
-                             trace_cursor, trace_cursor + node_load_max, node_bytes);
-          if (!config_.strategy.gpu_preprocessing) {
-            tracer.complete_at(telemetry::Category::kPipeline, trace.name_preproc, io_track,
-                               trace_cursor + node_load_max,
-                               trace_cursor + node_load_max + node_preproc_max);
-          }
-          tracer.complete_at(telemetry::Category::kPipeline, trace.name_train,
-                             trace.gpu_tracks[node->id], trace_cursor,
-                             trace_cursor + node_train_max);
-          tracer.counter_at(telemetry::Category::kPipeline, trace.name_load_threads, io_track,
-                            trace_cursor, load_sum);
-          tracer.counter_at(telemetry::Category::kCache, trace.name_cache_used, io_track,
-                            trace_cursor, static_cast<double>(node->cache->memory().used()));
-          // Slowest-GPU fetch-tier decomposition (seconds) and this node's
-          // per-iteration tier hit counts, for the analyzer's Fig. 3 shares
-          // and windowed hit-ratio series.
-          tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_local, io_track,
-                            trace_cursor, node_tier.local);
-          tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_ssd, io_track,
-                            trace_cursor, node_tier.ssd);
-          tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_remote, io_track,
-                            trace_cursor, node_tier.remote);
-          tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_pfs, io_track,
-                            trace_cursor, node_tier.pfs);
-          std::uint64_t hits_local = 0, hits_ssd = 0, hits_remote = 0, miss_pfs = 0;
-          for (GpuId g = 0; g < gpus; ++g) {
-            const auto& gpu_record = record.gpus[flat_gpu_rank({node->id, g}, gpus)];
-            hits_local += gpu_record.local_hits;
-            hits_ssd += gpu_record.ssd_hits;
-            hits_remote += gpu_record.remote_hits;
-            miss_pfs += gpu_record.pfs_misses;
-          }
-          tracer.counter_at(telemetry::Category::kCache, trace.name_hits_local, io_track,
-                            trace_cursor, static_cast<double>(hits_local));
-          tracer.counter_at(telemetry::Category::kCache, trace.name_hits_ssd, io_track,
-                            trace_cursor, static_cast<double>(hits_ssd));
-          tracer.counter_at(telemetry::Category::kCache, trace.name_hits_remote, io_track,
-                            trace_cursor, static_cast<double>(hits_remote));
-          tracer.counter_at(telemetry::Category::kCache, trace.name_miss_pfs, io_track,
-                            trace_cursor, static_cast<double>(miss_pfs));
-        }
-        node->last_max_pipeline = max_pipeline;
-        node->last_load_threads = load_sum;
-        thread_usage_load_ += load_sum;
-        thread_usage_preproc_ +=
-            decision.preproc_threads_per_gpu * static_cast<double>(gpus);
-        ++thread_usage_samples_;
-      }
-
-      // ---- 4. all-reduce barrier across the cluster
-      record.duration = t_max;
-      record.t_max = t_max;
-      record.t_min = t_min;
-      record.imbalanced = (t_max - t_min) > preset.imbalance_threshold * record.duration;
-      record.loading_bottleneck = loading_bottleneck;
-      for (auto& gpu_record : record.gpus) {
-        gpu_record.idle = record.duration - gpu_record.train;
-      }
-
+  // Round-robin slots: slot s runs job s % K at flat iteration s / K, so
+  // the jobs advance in lockstep on one iteration timeline.
+  const IterId slots = static_cast<IterId>(preset.epochs) * I * job_count;
+  for (IterId slot = 0; slot < slots; ++slot) {
+    const std::size_t job_index = slot % job_count;
+    const Job& job = *jobs_[job_index];
+    const IterId now = slot / job_count;
+    const auto epoch = static_cast<std::uint32_t>(now / I);
+    const auto h = static_cast<std::uint32_t>(now % I);
+    if (h == 0 && job_index == 0) {
+      for (auto& each : jobs_) each->oracle->rebase(epoch);
+      for (auto& node : nodes_) node->cache->on_epoch(now);
       if (trace.on) {
-        auto& tracer = telemetry::Tracer::instance();
-        for (const auto& node : nodes_) {
-          tracer.complete_at(telemetry::Category::kPipeline, trace.name_iteration,
-                             trace.io_tracks[node->id], trace_cursor,
-                             trace_cursor + record.duration, now);
-        }
-        // Cluster-level Eq. 2-3 signals: the analyzer reconstructs the
-        // per-iteration gap series and the imbalanced fraction from these
-        // without re-deriving per-GPU times.
-        tracer.counter_at(telemetry::Category::kPipeline, trace.name_t_max,
-                          trace.cluster_track, trace_cursor, t_max);
-        tracer.counter_at(telemetry::Category::kPipeline, trace.name_t_min,
-                          trace.cluster_track, trace_cursor, t_min);
-        if (record.imbalanced) {
-          tracer.instant_at(telemetry::Category::kPipeline, trace.name_imbalanced,
-                            trace.cluster_track, trace_cursor, now);
-        }
+        // Epoch boundary marker: lets the analyzer segment the virtual
+        // timeline into epochs (warm-up exclusion, per-epoch breakdowns)
+        // without knowing the sampler's iteration count.
+        telemetry::Tracer::instance().instant_at(telemetry::Category::kPipeline,
+                                                 trace.name_epoch_begin, trace.cluster_track,
+                                                 trace_cursor, epoch);
       }
-
-      // Registry signals sampled by the live monitor's heartbeat thread.
-      LOBSTER_METRIC_COUNT("pipeline.iterations", 1);
-      if (record.imbalanced) LOBSTER_METRIC_COUNT("pipeline.imbalanced_iterations", 1);
-      LOBSTER_METRIC_GAUGE("pipeline.gap_frac",
-                           record.duration > 0.0 ? (t_max - t_min) / record.duration : 0.0);
-      {
-        Bytes consumed = 0;
-        for (const auto& gpu_record : record.gpus) consumed += gpu_record.bytes.total();
-        LOBSTER_METRIC_COUNT("pipeline.bytes_consumed", consumed);
-      }
-
-      // ---- 5. post-iteration cache maintenance + prefetching
-      for (auto& node : nodes_) {
-        // Sweep evictions and prefetch-plan events stamp at iteration end.
-        const telemetry::VirtualTimeScope vt_scope(
-            trace.on ? trace.io_tracks[node->id] : 0, trace_cursor + record.duration);
-        node->cache->unpin_all();
-        if (config_.strategy.reuse_sweep) reuse_sweep(*node, epoch, h);
-        storage::TierBytes fetched;
-        for (const auto& d : demands[node->id]) {
-          fetched.remote += d.bytes.remote;
-          fetched.pfs += d.bytes.pfs;
-        }
-        prefetch(*node, epoch, h, record.duration, fetched, node->last_load_threads);
-        node->cache->publish_metrics();
-      }
-
-      trace_cursor += record.duration;
-      metrics.add(std::move(record));
     }
+
+    IterationRecord record;
+    record.iter = now;
+    record.epoch = epoch;
+    record.gpus.resize(total_gpus);
+
+    if (config_.record_plan != nullptr) {
+      config_.record_plan->iterations.emplace_back();
+      plan_iter_ = &config_.record_plan->iterations.back();
+      plan_iter_->iter = now;
+      plan_iter_->nodes.resize(nodes_.size());
+    }
+
+    // ---- 1. classification + cache fill, per node
+    std::vector<std::vector<core::GpuDemand>> demands(nodes_.size());
+    std::vector<std::vector<std::vector<sim::Fetch>>> fetch_lists;
+    if (config_.des_loading) {
+      fetch_lists.assign(nodes_.size(), std::vector<std::vector<sim::Fetch>>(gpus));
+    }
+    for (auto& node : nodes_) {
+      // Cache hits/misses/evictions inside classify land on this node's
+      // virtual track at the iteration start.
+      const telemetry::VirtualTimeScope vt_scope(
+          trace.on ? trace.io_tracks[node->id] : 0, trace_cursor);
+      demands[node->id] = classify_and_fetch(
+          job, *node, epoch, h, record.gpus,
+          config_.des_loading ? &fetch_lists[node->id] : nullptr);
+    }
+
+    // ---- 2. contention census
+    storage::Contention base;
+    base.pfs_readers_cluster = 0;
+    std::vector<storage::Contention> node_contention(nodes_.size());
+    for (auto& node : nodes_) {
+      auto& c = node_contention[node->id];
+      c.local_readers_node = c.ssd_readers_node = c.remote_readers_node = 0;
+      c.pfs_readers_node = 0;
+      for (const auto& d : demands[node->id]) {
+        if (d.bytes.local > 0) ++c.local_readers_node;
+        if (d.bytes.ssd > 0) ++c.ssd_readers_node;
+        if (d.bytes.remote > 0) ++c.remote_readers_node;
+        if (d.bytes.pfs > 0) {
+          ++c.pfs_readers_node;
+          ++base.pfs_readers_cluster;
+        }
+      }
+    }
+    for (auto& c : node_contention) {
+      c.pfs_readers_cluster = std::max<std::uint32_t>(base.pfs_readers_cluster, 1);
+      c.local_readers_node = std::max<std::uint32_t>(c.local_readers_node, 1);
+      c.ssd_readers_node = std::max<std::uint32_t>(c.ssd_readers_node, 1);
+      c.remote_readers_node = std::max<std::uint32_t>(c.remote_readers_node, 1);
+      c.pfs_readers_node = std::max<std::uint32_t>(c.pfs_readers_node, 1);
+    }
+
+    // ---- 3. per-node thread decisions + ground-truth stage times
+    Seconds t_max = 0.0;
+    Seconds t_min = std::numeric_limits<Seconds>::infinity();
+    bool loading_bottleneck = false;
+
+    for (auto& node : nodes_) {
+      const auto& contention = node_contention[node->id];
+      const auto decision = decide_threads(job, demands[node->id], contention);
+
+      // DES loading mode: emergent per-GPU load times from the fetch
+      // replay (shared tier resources) replace the Eq. 1 pricing below.
+      sim::ReplayResult replay;
+      if (config_.des_loading) {
+        std::vector<sim::GpuWork> work(gpus);
+        for (GpuId g = 0; g < gpus; ++g) {
+          work[g].fetches = std::move(fetch_lists[node->id][g]);
+          work[g].threads =
+              std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
+                                             decision.load_threads[g] + 0.5));
+        }
+        replay = sim::replay_node_iteration(work, storage_->params(),
+                                            contention.pfs_readers_cluster);
+      }
+      if (plan_iter_ != nullptr) {
+        auto& node_plan = plan_iter_->nodes[node->id];
+        node_plan.preproc_threads =
+            static_cast<std::uint32_t>(decision.preproc_threads_per_gpu + 0.5);
+        node_plan.load_threads.assign(decision.load_threads.size(), 0);
+        for (std::size_t j = 0; j < decision.load_threads.size(); ++j) {
+          node_plan.load_threads[j] =
+              std::max<std::uint32_t>(1, static_cast<std::uint32_t>(decision.load_threads[j] + 0.5));
+        }
+      }
+
+      double load_sum = 0.0;
+      Seconds max_pipeline = 0.0;
+      Seconds node_load_max = 0.0;
+      Seconds node_preproc_max = 0.0;
+      Seconds node_train_max = 0.0;
+      // Tier decomposition of the node's slowest load (traced so the
+      // analyzer can reconstruct the Fig. 3 fetch-tier shares).
+      struct TierSeconds {
+        Seconds local = 0.0, ssd = 0.0, remote = 0.0, pfs = 0.0;
+      } node_tier;
+      const bool burst =
+          pfs_burst(preset.seed, slot, node->id, preset.noise.burst_probability);
+
+      for (GpuId g = 0; g < gpus; ++g) {
+        auto& gpu_record = record.gpus[flat_gpu_rank({node->id, g}, gpus)];
+        const auto& demand = demands[node->id][g];
+        const double threads = decision.load_threads[g];
+        load_sum += threads;
+
+        auto breakdown = storage_->load_time_breakdown(
+            demand.bytes, storage::ThreadAlloc::uniform(threads), contention);
+        const double noise =
+            io_noise(preset.seed, slot, node->id, g, preset.noise.io_sigma);
+        const double numa = numa_factor();
+        breakdown.local *= numa;
+        Seconds load;
+        if (config_.des_loading) {
+          // Emergent base time; noise/bursts scale the network-bound share.
+          const Seconds base_load = replay.gpu_load_time[g];
+          const Bytes slow_bytes = demand.bytes.remote + demand.bytes.pfs;
+          const double slow_fraction =
+              demand.bytes.total() > 0
+                  ? static_cast<double>(slow_bytes) / static_cast<double>(demand.bytes.total())
+                  : 0.0;
+          double factor = 1.0 + slow_fraction * (noise - 1.0);
+          if (burst) factor *= 1.0 + slow_fraction * (preset.noise.burst_multiplier - 1.0);
+          load = base_load * factor;
+        } else {
+          load = breakdown.local + breakdown.ssd +
+                 (breakdown.remote + breakdown.pfs) * noise;
+          if (burst) {
+            load = breakdown.local + breakdown.ssd +
+                   (breakdown.remote + breakdown.pfs) * noise * preset.noise.burst_multiplier;
+          }
+        }
+        const double preproc_noise =
+            io_noise(preset.seed, slot, node->id, g + 1024, preset.noise.preproc_sigma);
+        const bool on_gpu = config_.strategy.gpu_preprocessing;
+        const Seconds preproc =
+            (on_gpu ? preproc_truth_->gpu_batch_time(demand.bytes.total(), demand.samples)
+                    : preproc_truth_->batch_time(decision.preproc_threads_per_gpu,
+                                                 demand.bytes.total(), demand.samples) *
+                          numa) *
+            preproc_noise;
+        Seconds train = job.trainer.iteration_time(preset.seed, slot, node->id, g);
+        // GPU-side preprocessing serializes with the forward/backward pass
+        // on the same device, so it stretches the training stage instead
+        // of the CPU pipeline.
+        if (on_gpu) train += preproc;
+
+        gpu_record.load = load;
+        gpu_record.preproc = preproc;
+        gpu_record.train = train;
+        gpu_record.load_threads = threads;
+        gpu_record.preproc_threads = decision.preproc_threads_per_gpu;
+
+        const Seconds pipeline = on_gpu ? load : load + preproc;
+        const Seconds gpu_time = std::max(pipeline, train);
+        if (pipeline > train) loading_bottleneck = true;
+        t_max = std::max(t_max, gpu_time);
+        t_min = std::min(t_min, gpu_time);
+        max_pipeline = std::max(max_pipeline, pipeline);
+        if (load > node_load_max) {
+          node_load_max = load;
+          if (trace.on) {
+            // Decompose the slowest GPU's load exactly as billed above; in
+            // DES mode the analytic components only set the proportions.
+            const double slow_noise =
+                burst ? noise * preset.noise.burst_multiplier : noise;
+            node_tier = {breakdown.local, breakdown.ssd, breakdown.remote * slow_noise,
+                         breakdown.pfs * slow_noise};
+            const Seconds analytic =
+                node_tier.local + node_tier.ssd + node_tier.remote + node_tier.pfs;
+            if (config_.des_loading) {
+              const double rescale = analytic > 0.0 ? load / analytic : 0.0;
+              node_tier.local *= rescale;
+              node_tier.ssd *= rescale;
+              node_tier.remote *= rescale;
+              node_tier.pfs *= rescale;
+              if (analytic <= 0.0) node_tier.local = load;
+            }
+          }
+        }
+        node_preproc_max = std::max(node_preproc_max, preproc);
+        node_train_max = std::max(node_train_max, train);
+        samples_done += demand.samples;
+      }
+      if (trace.on) {
+        // Slowest-GPU stage spans on the node's virtual tracks: the
+        // load→preproc chain on the pipeline track, training on its own.
+        auto& tracer = telemetry::Tracer::instance();
+        const auto io_track = trace.io_tracks[node->id];
+        Bytes node_bytes = 0;
+        for (const auto& d : demands[node->id]) node_bytes += d.bytes.total();
+        tracer.complete_at(telemetry::Category::kPipeline, trace.name_load, io_track,
+                           trace_cursor, trace_cursor + node_load_max, node_bytes);
+        if (!config_.strategy.gpu_preprocessing) {
+          tracer.complete_at(telemetry::Category::kPipeline, trace.name_preproc, io_track,
+                             trace_cursor + node_load_max,
+                             trace_cursor + node_load_max + node_preproc_max);
+        }
+        tracer.complete_at(telemetry::Category::kPipeline, trace.name_train,
+                           trace.gpu_tracks[node->id], trace_cursor,
+                           trace_cursor + node_train_max);
+        tracer.counter_at(telemetry::Category::kPipeline, trace.name_load_threads, io_track,
+                          trace_cursor, load_sum);
+        tracer.counter_at(telemetry::Category::kCache, trace.name_cache_used, io_track,
+                          trace_cursor, static_cast<double>(node->cache->memory().used()));
+        // Slowest-GPU fetch-tier decomposition (seconds) and this node's
+        // per-iteration tier hit counts, for the analyzer's Fig. 3 shares
+        // and windowed hit-ratio series.
+        tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_local, io_track,
+                          trace_cursor, node_tier.local);
+        tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_ssd, io_track,
+                          trace_cursor, node_tier.ssd);
+        tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_remote, io_track,
+                          trace_cursor, node_tier.remote);
+        tracer.counter_at(telemetry::Category::kPipeline, trace.name_fetch_pfs, io_track,
+                          trace_cursor, node_tier.pfs);
+        std::uint64_t hits_local = 0, hits_ssd = 0, hits_remote = 0, miss_pfs = 0;
+        for (GpuId g = 0; g < gpus; ++g) {
+          const auto& gpu_record = record.gpus[flat_gpu_rank({node->id, g}, gpus)];
+          hits_local += gpu_record.local_hits;
+          hits_ssd += gpu_record.ssd_hits;
+          hits_remote += gpu_record.remote_hits;
+          miss_pfs += gpu_record.pfs_misses;
+        }
+        tracer.counter_at(telemetry::Category::kCache, trace.name_hits_local, io_track,
+                          trace_cursor, static_cast<double>(hits_local));
+        tracer.counter_at(telemetry::Category::kCache, trace.name_hits_ssd, io_track,
+                          trace_cursor, static_cast<double>(hits_ssd));
+        tracer.counter_at(telemetry::Category::kCache, trace.name_hits_remote, io_track,
+                          trace_cursor, static_cast<double>(hits_remote));
+        tracer.counter_at(telemetry::Category::kCache, trace.name_miss_pfs, io_track,
+                          trace_cursor, static_cast<double>(miss_pfs));
+      }
+      node->last_max_pipeline = max_pipeline;
+      node->last_load_threads = load_sum;
+      thread_usage_load_ += load_sum;
+      thread_usage_preproc_ +=
+          decision.preproc_threads_per_gpu * static_cast<double>(gpus);
+      ++thread_usage_samples_;
+    }
+
+    // ---- 4. all-reduce barrier across the cluster
+    record.duration = t_max;
+    record.t_max = t_max;
+    record.t_min = t_min;
+    record.imbalanced = (t_max - t_min) > preset.imbalance_threshold * record.duration;
+    record.loading_bottleneck = loading_bottleneck;
+    for (auto& gpu_record : record.gpus) {
+      gpu_record.idle = record.duration - gpu_record.train;
+    }
+
+    if (trace.on) {
+      auto& tracer = telemetry::Tracer::instance();
+      for (const auto& node : nodes_) {
+        tracer.complete_at(telemetry::Category::kPipeline, trace.name_iteration,
+                           trace.io_tracks[node->id], trace_cursor,
+                           trace_cursor + record.duration, slot);
+      }
+      // Cluster-level Eq. 2-3 signals: the analyzer reconstructs the
+      // per-iteration gap series and the imbalanced fraction from these
+      // without re-deriving per-GPU times.
+      tracer.counter_at(telemetry::Category::kPipeline, trace.name_t_max,
+                        trace.cluster_track, trace_cursor, t_max);
+      tracer.counter_at(telemetry::Category::kPipeline, trace.name_t_min,
+                        trace.cluster_track, trace_cursor, t_min);
+      if (record.imbalanced) {
+        tracer.instant_at(telemetry::Category::kPipeline, trace.name_imbalanced,
+                          trace.cluster_track, trace_cursor, slot);
+      }
+    }
+
+    // Registry signals sampled by the live monitor's heartbeat thread.
+    LOBSTER_METRIC_COUNT("pipeline.iterations", 1);
+    if (record.imbalanced) LOBSTER_METRIC_COUNT("pipeline.imbalanced_iterations", 1);
+    LOBSTER_METRIC_GAUGE("pipeline.gap_frac",
+                         record.duration > 0.0 ? (t_max - t_min) / record.duration : 0.0);
+    {
+      Bytes consumed = 0;
+      for (const auto& gpu_record : record.gpus) consumed += gpu_record.bytes.total();
+      LOBSTER_METRIC_COUNT("pipeline.bytes_consumed", consumed);
+    }
+
+    // ---- 5. post-iteration cache maintenance + prefetching
+    for (auto& node : nodes_) {
+      // Sweep evictions and prefetch-plan events stamp at iteration end.
+      const telemetry::VirtualTimeScope vt_scope(
+          trace.on ? trace.io_tracks[node->id] : 0, trace_cursor + record.duration);
+      node->cache->unpin_all();
+      if (config_.strategy.reuse_sweep) reuse_sweep(job, *node, epoch, h);
+      storage::TierBytes fetched;
+      for (const auto& d : demands[node->id]) {
+        fetched.remote += d.bytes.remote;
+        fetched.pfs += d.bytes.pfs;
+      }
+      prefetch(job, *node, epoch, h, record.duration, fetched, node->last_load_threads);
+      node->cache->publish_metrics();
+    }
+
+    trace_cursor += record.duration;
+    metrics[job_index].add(std::move(record));
   }
 
-  SimulationResult result{std::move(metrics), {}, {}, I, 0.0, 0.0, 0.0};
+  SimulationResult result;
+  result.iterations_per_epoch = I;
   for (const auto& node : nodes_) {
     result.node_cache_stats.push_back(node->cache->memory_stats());
     result.node_ssd_stats.push_back(node->cache->ssd_stats());
   }
-  result.metrics.set_cache_stats(result.node_cache_stats);
-  if (result.metrics.total_time() > 0.0) {
-    result.samples_per_second =
-        static_cast<double>(samples_done) / result.metrics.total_time();
+  Seconds total_time = 0.0;
+  for (auto& job_metrics : metrics) {
+    job_metrics.set_cache_stats(result.node_cache_stats);
+    total_time += job_metrics.total_time();
   }
+  if (total_time > 0.0) result.samples_per_second = static_cast<double>(samples_done) / total_time;
+  result.metrics = std::move(metrics.front());
+  result.other_job_metrics.assign(std::make_move_iterator(metrics.begin() + 1),
+                                  std::make_move_iterator(metrics.end()));
   if (thread_usage_samples_ > 0) {
     result.mean_load_threads =
         thread_usage_load_ / static_cast<double>(thread_usage_samples_);

@@ -22,12 +22,22 @@
 //        reuse-count / reuse-distance eviction sweep, then deterministic
 //        prefetching into the spare capacity and spare loading time.
 //
-// Everything is deterministic in (preset.seed, strategy): noise streams are
-// keyed by (iteration, node, gpu).
+// A run may hold K >= 1 jobs training different models over the same
+// dataset (§2: "different DNN models sharing the same training data"). The
+// jobs time-share the GPUs round-robin at iteration granularity: slot s runs
+// job s % K at iteration s / K. Each job has its own shuffle, oracle,
+// prefetcher, trainer and metrics; the catalog, directory and node caches
+// are shared, and with K > 1 the caches and the eviction sweep consult the
+// merged future-access view of every job (data::MergedAccessOracle).
+//
+// Everything is deterministic in (preset.seed, strategy, job models): noise
+// streams are keyed by (slot, node, gpu). With one job the slot is the
+// global iteration id.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/strategies.hpp"
@@ -67,20 +77,29 @@ struct SimulationConfig {
   /// prefetching during spare pipeline time.
   double prefetch_bandwidth_fraction = 0.8;
   /// When non-null, the run records every thread/prefetch/eviction decision
-  /// here — the offline planning mode of §4.5.
+  /// here — the offline planning mode of §4.5. Single-job runs only.
   runtime::Plan* record_plan = nullptr;
   /// When non-null, every sample access is appended with the tier that
-  /// served it (the §3 motivation-study instrumentation).
+  /// served it (the §3 motivation-study instrumentation). Single-job runs
+  /// only.
   data::AccessTrace* record_trace = nullptr;
   /// Ground-truth loading times from the discrete-event fetch replay instead
   /// of the closed-form Eq. 1. Lobster's *decisions* still use the analytic
   /// model either way — this separates the planner's model from the
   /// simulated reality (slower; ~per-sample event costs).
   bool des_loading = false;
+  /// Models of the jobs sharing the dataset, GPUs and node caches. Empty
+  /// means one job running `preset.model`. Job 0 shuffles with
+  /// `preset.seed`; job j > 0 with a stream derived from it and j.
+  std::vector<std::string> job_models;
 };
 
 struct SimulationResult {
+  /// Job 0's metrics. Every job's cache stats are the shared node caches'
+  /// totals over all jobs.
   RunMetrics metrics;
+  /// Jobs 1..K-1 of a multi-job run, in job order (empty with one job).
+  std::vector<RunMetrics> other_job_metrics;
   std::vector<cache::CacheStats> node_cache_stats;  ///< DRAM tier
   std::vector<cache::CacheStats> node_ssd_stats;    ///< SSD tier (zeros when off)
   std::uint32_t iterations_per_epoch = 0;
@@ -98,20 +117,19 @@ class TrainingSimulator {
   TrainingSimulator(const TrainingSimulator&) = delete;
   TrainingSimulator& operator=(const TrainingSimulator&) = delete;
 
-  /// Runs the configured number of epochs and returns all metrics.
+  /// Runs the configured number of epochs of every job and returns all
+  /// metrics.
   SimulationResult run();
-
-  const data::SampleCatalog& catalog() const noexcept { return *catalog_; }
-  const data::EpochSampler& sampler() const noexcept { return *sampler_; }
 
  private:
   struct NodeState;
+  struct Job;
 
   /// Per-GPU tier classification + cache fill for one node-iteration.
   /// When `fetch_lists` is non-null (DES loading mode), the per-sample
   /// (bytes, tier) fetch list of each GPU is recorded there.
-  std::vector<core::GpuDemand> classify_and_fetch(NodeState& node, std::uint32_t epoch,
-                                                  std::uint32_t h,
+  std::vector<core::GpuDemand> classify_and_fetch(const Job& job, NodeState& node,
+                                                  std::uint32_t epoch, std::uint32_t h,
                                                   std::vector<GpuIterRecord>& records,
                                                   std::vector<std::vector<sim::Fetch>>* fetch_lists);
 
@@ -120,11 +138,11 @@ class TrainingSimulator {
     std::vector<double> load_threads;  ///< per GPU
     double preproc_threads_per_gpu = 1.0;
   };
-  ThreadDecision decide_threads(NodeState& node, const std::vector<core::GpuDemand>& demands,
+  ThreadDecision decide_threads(const Job& job, const std::vector<core::GpuDemand>& demands,
                                 const storage::Contention& contention);
 
   /// Lobster's post-iteration reuse-count / reuse-distance sweep.
-  void reuse_sweep(NodeState& node, std::uint32_t epoch, std::uint32_t h);
+  void reuse_sweep(const Job& job, NodeState& node, std::uint32_t epoch, std::uint32_t h);
 
   /// Slowdown multiplier for local reads / preprocessing when the strategy
   /// is not NUMA-aware (§5.2(b)).
@@ -133,21 +151,22 @@ class TrainingSimulator {
   /// Deterministic prefetching: background staging with the node I/O
   /// capacity left over after this iteration's demand fetches, using the
   /// strategy's own loading threads.
-  void prefetch(NodeState& node, std::uint32_t epoch, std::uint32_t h,
+  void prefetch(const Job& job, NodeState& node, std::uint32_t epoch, std::uint32_t h,
                 Seconds iteration_duration, const storage::TierBytes& demand,
                 double total_load_threads);
 
   SimulationConfig config_;
   std::unique_ptr<data::SampleCatalog> catalog_;
-  std::unique_ptr<data::EpochSampler> sampler_;
-  std::unique_ptr<data::FutureAccessOracle> oracle_;
   std::unique_ptr<cache::CacheDirectory> directory_;
   std::unique_ptr<storage::StorageModel> storage_;
   std::unique_ptr<core::PreprocGroundTruth> preproc_truth_;
   std::unique_ptr<core::PreprocModelPortfolio> preproc_portfolio_;
-  std::unique_ptr<core::PerfModel> perf_model_;
-  std::unique_ptr<cache::Prefetcher> prefetcher_;
-  TrainerModel trainer_;
+  std::vector<std::unique_ptr<Job>> jobs_;
+  /// Merged future-access view over every job's oracle (K > 1 only).
+  std::unique_ptr<data::MergedAccessOracle> merged_oracle_;
+  /// What the caches and the reuse sweep consult: job 0's oracle when it
+  /// runs alone, else `merged_oracle_`.
+  const data::AccessOracle* oracle_ = nullptr;
   std::vector<std::unique_ptr<NodeState>> nodes_;
 
   std::uint32_t knee_preproc_threads_ = 1;

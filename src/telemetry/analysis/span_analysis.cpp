@@ -310,9 +310,14 @@ Table slowest_traces_table(const SpanAnalysis& analysis,
       if (!path.empty()) path += " > ";
       path += span->kind;
       if (span->kind == "attempt" || span->kind == "serve") {
-        path += "@" + std::to_string(span->rank);
+        path += '@';
+        path += std::to_string(span->rank);
       }
-      if (span->status != "ok") path += "(" + span->status + ")";
+      if (span->status != "ok") {
+        path += '(';
+        path += span->status;
+        path += ')';
+      }
     }
     table.add_row({trace->trace_id, std::to_string(trace->sample),
                    std::to_string(trace->iter), std::to_string(trace->root_rank),

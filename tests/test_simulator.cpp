@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.hpp"
+#include "core/planner.hpp"
 #include "metrics/report.hpp"
 #include "pipeline/simulator.hpp"
+#include "runtime/plan_io.hpp"
 
 namespace lobster::pipeline {
 namespace {
@@ -426,6 +428,84 @@ TEST(DesLoading, OrderingSurvivesEmergentTiming) {
   const auto pytorch = run("pytorch");
   EXPECT_LT(lobster.metrics.time_after_epoch(1), pytorch.metrics.time_after_epoch(1));
   EXPECT_GT(lobster.metrics.hit_ratio(), pytorch.metrics.hit_ratio());
+}
+
+}  // namespace
+}  // namespace lobster::pipeline
+
+// ---- Golden pins: exact outputs of the single-job simulator and planner.
+//
+// The values were recorded on the commit before the multi-job refactor
+// folded the shared-dataset scenario into TrainingSimulator; any change to
+// the single-job model, its noise streams or the planner's decisions shows
+// up here as a bit-level difference.
+
+namespace lobster::pipeline {
+namespace {
+
+struct GoldenRun {
+  const char* label;
+  baselines::LoaderStrategy strategy;
+  double total_time;
+  std::uint64_t dram_hits;
+  std::uint64_t dram_misses;
+  std::uint64_t imbalanced_iterations;
+  double mean_load_threads;
+};
+
+baselines::LoaderStrategy lobster_with_lru() {
+  auto strategy = baselines::LoaderStrategy::lobster();
+  strategy.eviction_policy = "lru";
+  strategy.reuse_sweep = false;
+  return strategy;
+}
+
+TEST(SimulatorGolden, SingleJobOutputsAreBitExact) {
+  auto preset = preset_imagenet1k_single_node(512.0);
+  preset.epochs = 3;
+  preset.seed = 42;
+  const GoldenRun runs[] = {
+      {"lobster", baselines::LoaderStrategy::lobster(), 0x1.3e6f78294c1b7p-1, 4224, 2688, 5,
+       0x1.85ed097b425edp+6},
+      {"pytorch", baselines::LoaderStrategy::pytorch(), 0x1.e0118b94f4995p-1, 545, 6367, 11,
+       0x1p+4},
+      {"lobster_lru", lobster_with_lru(), 0x1.7a77331c3ac16p-1, 3632, 3280, 5,
+       0x1.9ed097b425ed1p+6},
+  };
+  for (const auto& golden : runs) {
+    SCOPED_TRACE(golden.label);
+    const auto result = simulate(preset, golden.strategy);
+    std::uint64_t imbalanced = 0;
+    for (const auto count : result.metrics.imbalanced_per_epoch()) imbalanced += count;
+    EXPECT_EQ(result.metrics.total_time(), golden.total_time);
+    EXPECT_EQ(result.metrics.cache_stats().hits, golden.dram_hits);
+    EXPECT_EQ(result.metrics.cache_stats().misses, golden.dram_misses);
+    EXPECT_EQ(imbalanced, golden.imbalanced_iterations);
+    EXPECT_EQ(result.mean_load_threads, golden.mean_load_threads);
+  }
+}
+
+std::uint64_t fnv1a64(const std::vector<std::byte>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::byte b : bytes) {
+    hash ^= static_cast<std::uint8_t>(b);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(SimulatorGolden, PlannerOutputIsByteExact) {
+  // perfbench's lobster_planned preset: 2 nodes x 2 GPUs, 16 CPU threads.
+  auto preset = preset_imagenet1k_multi_node(50.0, 2);
+  preset.epochs = 3;
+  preset.cluster.gpus_per_node = 2;
+  preset.cluster.cpu_threads = 16;
+  preset.batch_size = 32;
+  preset.seed = 42;
+  const auto planned = core::plan_training(preset, baselines::LoaderStrategy::lobster());
+  const auto bytes = runtime::serialize_plan(planned.plan);
+  EXPECT_EQ(bytes.size(), 315120U);
+  EXPECT_EQ(fnv1a64(bytes), 0x234ad99542435274ULL);
 }
 
 }  // namespace
