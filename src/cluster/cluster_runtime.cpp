@@ -29,6 +29,28 @@ data::SamplerConfig sampler_config_for(const JobSpec& spec, std::uint64_t datase
   return config;
 }
 
+/// One node's bytes per tier in one round of one job.
+struct Demand {
+  Bytes local = 0, remote = 0, pfs = 0;
+};
+
+/// The cluster model's one cost function: a round lasts as long as the
+/// slowest node's tier reads plus preprocessing, or the training step if
+/// that is longer. `pfs_bps` is the PFS share this job gets.
+double price_round(const std::vector<Demand>& demands, const TierRates& rates, double pfs_bps,
+                   double t_train) {
+  double slowest = 0.0;
+  for (const auto& demand : demands) {
+    const Bytes total = demand.local + demand.remote + demand.pfs;
+    const double io = static_cast<double>(demand.local) / rates.local_bps +
+                      static_cast<double>(demand.remote) / rates.remote_bps +
+                      static_cast<double>(demand.pfs) / pfs_bps +
+                      static_cast<double>(total) / rates.preproc_bps;
+    slowest = std::max(slowest, std::max(t_train, io));
+  }
+  return slowest;
+}
+
 struct IsolatedRun {
   double run_s = 0.0;
   std::uint64_t pfs_reads = 0;
@@ -50,10 +72,6 @@ IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog
   cache::KvStore kv(4);
   cache::CacheDirectory directory(spec.nodes);
   KvBudgetArbiter arbiter(kv, 0, [](SampleId) { return kNeverIter; });
-
-  struct Demand {
-    Bytes local = 0, remote = 0, pfs = 0;
-  };
   std::vector<Demand> demands(spec.nodes);
 
   IsolatedRun result;
@@ -82,16 +100,7 @@ IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog
         }
         result.digest = delivery_digest_advance(result.digest, sample);
       }
-      double slowest = 0.0;
-      for (const auto& demand : demands) {
-        const Bytes total = demand.local + demand.remote + demand.pfs;
-        const double io = static_cast<double>(demand.local) / rates.local_bps +
-                          static_cast<double>(demand.remote) / rates.remote_bps +
-                          static_cast<double>(demand.pfs) / rates.pfs_bps +
-                          static_cast<double>(total) / rates.preproc_bps;
-        slowest = std::max(slowest, std::max(t_train, io));
-      }
-      result.run_s += slowest;
+      result.run_s += price_round(demands, rates, rates.pfs_bps, t_train);
       cursor += n;
     }
   }
@@ -193,9 +202,6 @@ struct ClusterRuntime::RunningJob {
   std::uint64_t digest = 0;
   std::uint64_t last_n = 0;  ///< window collect_demands priced this round
 
-  struct Demand {
-    Bytes local = 0, remote = 0, pfs = 0;
-  };
   std::vector<Demand> demands;  ///< per local node, refilled every round
   std::uint64_t round_delivered = 0;  ///< samples delivered this round
 
@@ -571,21 +577,6 @@ void ClusterRuntime::collect_demands(RunningJob& job) {
   job.round_delivered = n;
 }
 
-double ClusterRuntime::iteration_time(const RunningJob& job,
-                                      double pfs_bps_effective) const {
-  const TierRates& rates = config_.rates;
-  double slowest = 0.0;
-  for (const auto& demand : job.demands) {
-    const Bytes total = demand.local + demand.remote + demand.pfs;
-    const double io = static_cast<double>(demand.local) / rates.local_bps +
-                      static_cast<double>(demand.remote) / rates.remote_bps +
-                      static_cast<double>(demand.pfs) / pfs_bps_effective +
-                      static_cast<double>(total) / rates.preproc_bps;
-    slowest = std::max(slowest, std::max(job.t_train, io));
-  }
-  return slowest;
-}
-
 ClusterResult ClusterRuntime::run() {
   if (ran_) throw std::logic_error("ClusterRuntime::run: already ran");
   ran_ = true;
@@ -669,7 +660,8 @@ ClusterResult ClusterRuntime::run() {
 
     double round_time = 0.0;
     for (RunningJob* job : executing) {
-      round_time = std::max(round_time, iteration_time(*job, pfs_bps_effective));
+      round_time = std::max(round_time, price_round(job->demands, config_.rates,
+                                                    pfs_bps_effective, job->t_train));
     }
     clock_s_ += round_time;
 
@@ -682,8 +674,9 @@ ClusterResult ClusterRuntime::run() {
       JobRecord& record = manager_.record_mutable(job->id);
       ++record.iterations_done;
       ++outcomes_[job->id].iterations;
-      fairness_.observe_delivery(job->id, record.spec.name, job->round_delivered,
-                                 iteration_time(*job, pfs_bps_effective));
+      fairness_.observe_delivery(
+          job->id, record.spec.name, job->round_delivered,
+          price_round(job->demands, config_.rates, pfs_bps_effective, job->t_train));
       if (job->done()) finished.push_back(job);
     }
     for (RunningJob* job : finished) {

@@ -234,7 +234,6 @@ class ClusterRuntime {
   /// the arbiter and folding the delivery digest. Fills per-node byte
   /// demands; `job.last_n` is the window it will commit on advance.
   void collect_demands(RunningJob& job);
-  double iteration_time(const RunningJob& job, double pfs_bps_effective) const;
 
   ClusterConfig config_;
   ZeroPayloads payloads_;  ///< every PFS publish of the shared and isolated runs

@@ -143,7 +143,8 @@ class Endpoint {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto& bytes = message.bytes();
     T value{};
-    std::memcpy(&value, bytes.data(), std::min(sizeof(T), bytes.size()));
+    // An empty payload has no data pointer to copy from.
+    if (!bytes.empty()) std::memcpy(&value, bytes.data(), std::min(sizeof(T), bytes.size()));
     return value;
   }
 

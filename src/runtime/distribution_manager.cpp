@@ -19,13 +19,14 @@ namespace {
 constexpr comm::Tag kFetchRequestTag = 0x0F00;
 
 /// Sentinel sample id: a FetchRequest carrying it is an inventory request
-/// (same tag and server loop as demand fetches, so one serve thread handles
+/// (same tag and server loop as sample fetches, so one serve thread handles
 /// both and a killed node's poison pill still works unchanged).
 constexpr SampleId kInventorySample = kInvalidSample - 1;
 
-/// Sentinel sample id: a FetchRequest carrying it is a batched multi-get.
-/// The request body continues with a count and that many sample ids; the
-/// reply interleaves per-sample headers and payload bytes (DESIGN.md §8).
+/// Sentinel sample id: a FetchRequest carrying it is a multi-get, the only
+/// sample fetch on the wire. The request body continues with a count and
+/// that many sample ids; the reply interleaves per-sample headers and
+/// payload bytes (DESIGN.md §8).
 constexpr SampleId kMultiGetSample = kInvalidSample - 2;
 
 struct FetchRequest {
@@ -199,45 +200,13 @@ void DistributionManager::serve_loop() {
     auto message = endpoint_.recv(kFetchRequestTag);
     if (!message.has_value()) return;  // bus shutdown
     const auto request = comm::Endpoint::value_of<FetchRequest>(*message);
-    if (request.sample == kInvalidSample) continue;  // poison; loop re-checks running_
+    // Any other id (the poison pill included) is dropped; the loop then
+    // re-checks running_.
     if (request.sample == kInventorySample) {
       serve_inventory(*message, request.request_id);
-      continue;
-    }
-    if (request.sample == kMultiGetSample) {
+    } else if (request.sample == kMultiGetSample) {
       serve_multi_get(*message, request.request_id);
-      continue;
     }
-
-    // Handler span parented under the REQUESTER's attempt span (the bus
-    // stamped its context into the request), so the serve time shows up
-    // inside the cross-rank fetch tree. The reply send happens inside the
-    // span's lifetime, stamping the serve context back onto the wire.
-    telemetry::Span serve(telemetry::SpanKind::kServe, endpoint_.rank(),
-                          telemetry::TraceContext{message->trace_id, message->span_id, 0},
-                          request.sample);
-    ResponseHeader header{request.sample, 0};
-    std::size_t total = sizeof(header);
-    Bytes size = 0;
-    if (has_sample_ && has_sample_(request.sample)) {
-      header.found = 1;
-      size = sample_size_ ? sample_size_(request.sample) : 64;
-      total += static_cast<std::size_t>(size);
-      ++served_;
-    } else {
-      ++failed_;
-      serve.set_status(StatusCode::kNotFound);
-    }
-    // One arena buffer, materialized in place, shared zero-copy onto the
-    // wire — the serve path never touches the global heap.
-    auto response = PayloadArena::acquire(total);
-    std::memcpy(response->data(), &header, sizeof(header));
-    if (header.found != 0) {
-      make_sample_payload_into(request.sample, size, response->data() + sizeof(header));
-    }
-    const Status sent = endpoint_.send(message->source, response_tag(request.request_id),
-                                       comm::PayloadPtr(std::move(response)));
-    count_serve_send_failure(sent, message->source, request.request_id);
   }
 }
 
@@ -248,19 +217,18 @@ void DistributionManager::serve_multi_get(const comm::Message& request_message,
       telemetry::TraceContext{request_message.trace_id, request_message.span_id, 0},
       kMultiGetSample);
   const auto& bytes = request_message.bytes();
+  constexpr std::size_t kIdsOffset = sizeof(FetchRequest) + sizeof(std::uint64_t);
   std::uint64_t count = 0;
-  std::size_t offset = sizeof(FetchRequest);
-  if (bytes.size() >= offset + sizeof(count)) {
-    std::memcpy(&count, bytes.data() + offset, sizeof(count));
-    offset += sizeof(count);
+  if (bytes.size() >= kIdsOffset) {
+    std::memcpy(&count, bytes.data() + sizeof(FetchRequest), sizeof(count));
+    // A truncated or garbled request yields fewer ids than claimed; serve
+    // what is actually present — the requester detects the shortfall from
+    // the reply framing and treats the remainder as corrupt.
+    count = std::min<std::uint64_t>(count, (bytes.size() - kIdsOffset) / sizeof(SampleId));
   }
-  // A truncated or garbled request yields fewer ids than claimed; serve
-  // what is actually present — the requester detects the shortfall from
-  // the reply framing and treats the remainder as corrupt.
-  count = std::min<std::uint64_t>(count, (bytes.size() - offset) / sizeof(SampleId));
   std::vector<SampleId> ids(static_cast<std::size_t>(count));
   if (count > 0) {
-    std::memcpy(ids.data(), bytes.data() + offset,
+    std::memcpy(ids.data(), bytes.data() + kIdsOffset,
                 static_cast<std::size_t>(count) * sizeof(SampleId));
   }
 
@@ -397,232 +365,151 @@ void DistributionManager::record_corrupt(comm::Rank holder) {
   }
 }
 
-Result<std::vector<std::byte>> DistributionManager::fetch_once(SampleId sample,
-                                                               comm::Rank holder) {
-  // One attempt = one span; the request send inside its lifetime carries
-  // the attempt's context to the serving rank. arg = sample, arg2 = holder.
-  telemetry::Span attempt(telemetry::SpanKind::kAttempt, endpoint_.rank(), sample);
-  attempt.set_arg2(holder);
-  const auto report = [&attempt](Status status) {
-    attempt.set_status(status.code());
-    return status;
-  };
-
-  const std::uint64_t request_id = next_request_id_.fetch_add(1);
-  FetchRequest request{request_id, sample};
-  std::vector<std::byte> bytes(sizeof(request));
-  std::memcpy(bytes.data(), &request, sizeof(request));
-  if (Status sent = endpoint_.send(holder, kFetchRequestTag, std::move(bytes)); !sent.ok()) {
-    return report(sent);
-  }
-
-  auto response = endpoint_.recv_for(response_tag(request_id), policy_.timeout);
-  if (!response.ok()) return report(response.status());
-  const auto& reply = response->bytes();
-  ResponseHeader header{};
-  std::memcpy(&header, reply.data(), std::min(sizeof(header), reply.size()));
-  if (header.found == 0) return report(Status::not_found("peer no longer holds sample"));
-  if (reply.size() < sizeof(header)) {
-    return report(Status::corrupt("reply truncated"));
-  }
-  // Verify in place (no allocation), then copy the slice out once.
-  const std::byte* body = reply.data() + sizeof(header);
-  const std::size_t body_size = reply.size() - sizeof(header);
-  if (!verify_sample_payload(sample, body, body_size)) {
-    return report(Status::corrupt("payload failed verification"));
-  }
-  return std::vector<std::byte>(body, body + body_size);
+Status DistributionManager::fast_fail(comm::Rank holder, SampleId sample) {
+  LOBSTER_METRIC_COUNT("comm.peer_down", 1);
+  telemetry::Span::instant(telemetry::SpanKind::kBreakerFastFail, endpoint_.rank(), sample,
+                           holder);
+  return Status::peer_down("circuit breaker open for peer " + std::to_string(holder));
 }
 
 Result<std::vector<std::byte>> DistributionManager::fetch_remote(SampleId sample,
                                                                  comm::Rank holder) {
-  if (breaker_open(holder)) {
-    LOBSTER_METRIC_COUNT("comm.peer_down", 1);
-    telemetry::Span::instant(telemetry::SpanKind::kBreakerFastFail, endpoint_.rank(),
-                             sample, holder);
-    return Status::peer_down("circuit breaker open for peer " + std::to_string(holder));
-  }
-
-  Seconds backoff = policy_.backoff_base;
-  const std::uint32_t attempts = 1 + policy_.max_retries;
-  Status last = Status::timeout("no attempt made");
-  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++retries_;
-      LOBSTER_METRIC_COUNT("comm.retries", 1);
-      telemetry::Span sleep(telemetry::SpanKind::kBackoff, endpoint_.rank(), sample);
-      sleep.set_arg2(attempt);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2.0, policy_.backoff_cap);
-    }
-    auto result = fetch_once(sample, holder);
-    if (result.ok()) {
-      record_success(holder);
-      return result;
-    }
-    last = result.status();
-    switch (last.code()) {
-      case StatusCode::kTimeout:
-        record_timeout(holder);
-        // The timeout that trips the breaker still reports kTimeout — only
-        // later fetches that find it already open get the instant kPeerDown.
-        // But once open there is no point burning the rest of the budget.
-        if (breaker_open(holder)) return last;
-        break;  // retry
-      case StatusCode::kNotFound:
-        // Authoritative answer from a live peer: reset its failure run.
-        record_success(holder);
-        return last;
-      case StatusCode::kCorrupt:
-        // The peer answered with garbage: strike it and report immediately.
-        // Retrying the same peer would re-fetch the same bad copy — the
-        // caller must route to the next holder (or the PFS) instead.
-        record_corrupt(holder);
-        return last;
-      case StatusCode::kShutdown:
-        return last;
-      default:
-        return last;  // peer_down / unexpected — not retryable here
-    }
-  }
-  return last;
+  if (breaker_open(holder)) return fast_fail(holder, sample);
+  auto result = std::move(fetch_round(holder, {sample}, {}).front());
+  if (!result.ok()) return result.status();
+  const comm::PayloadPtr& payload = *result;
+  return std::vector<std::byte>(payload->begin(), payload->end());
 }
 
 std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_remote_many(
     comm::Rank holder, const std::vector<SampleId>& samples, IterId iter,
     const std::function<void()>& while_waiting) {
-  std::vector<Result<comm::PayloadPtr>> results;
-  if (samples.empty()) return results;
-  results.reserve(samples.size());
-
+  if (samples.empty()) return {};
   if (breaker_open(holder)) {
-    LOBSTER_METRIC_COUNT("comm.peer_down", 1);
-    telemetry::Span::instant(telemetry::SpanKind::kBreakerFastFail, endpoint_.rank(),
-                             samples.front(), holder);
-    const Status down =
-        Status::peer_down("circuit breaker open for peer " + std::to_string(holder));
-    for (std::size_t i = 0; i < samples.size(); ++i) results.emplace_back(down);
-    return results;
+    return std::vector<Result<comm::PayloadPtr>>(samples.size(),
+                                                 fast_fail(holder, samples.front()));
   }
+  // One root span per batch round (arg = holder, arg2 = iter). It closes
+  // before this returns, so per-sample fallback fetches the caller issues
+  // afterwards root their own kFetch trees.
+  telemetry::Span multi(telemetry::SpanKind::kMultiGet, endpoint_.rank(), holder);
+  multi.set_arg2(iter);
+  return fetch_round(holder, samples, while_waiting);
+}
 
+std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_round(
+    comm::Rank holder, const std::vector<SampleId>& samples,
+    const std::function<void()>& while_waiting) {
+  std::vector<Result<comm::PayloadPtr>> results;
+  results.reserve(samples.size());
   Status last = Status::timeout("no attempt made");
-  bool answered = false;
-  {
-    // One root span per batch round (arg = holder, arg2 = iter). It closes
-    // with this scope, BEFORE any caller-side per-sample fallback runs, so
-    // fallback fetches root their own kFetch trees — the span-analysis
-    // gates that count fetch-rooted traces are unaffected by batching.
-    telemetry::Span multi(telemetry::SpanKind::kMultiGet, endpoint_.rank(), holder);
-    multi.set_arg2(iter);
+  Seconds backoff = policy_.backoff_base;
+  const std::uint32_t attempts = 1 + policy_.max_retries;
+  for (std::uint32_t round = 0; round < attempts; ++round) {
+    if (round > 0) {
+      ++retries_;
+      LOBSTER_METRIC_COUNT("comm.retries", 1);
+      telemetry::Span sleep(telemetry::SpanKind::kBackoff, endpoint_.rank(), samples.front());
+      sleep.set_arg2(round);
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+      backoff = std::min(backoff * 2.0, policy_.backoff_cap);
+    }
+    // One envelope per attempt, whatever the batch size; a fresh request id
+    // each time, so a late reply to an abandoned attempt is never read.
+    // arg = batch size, arg2 = holder.
+    telemetry::Span attempt(telemetry::SpanKind::kAttempt, endpoint_.rank(), samples.size());
+    attempt.set_arg2(holder);
+    const std::uint64_t request_id = next_request_id_.fetch_add(1);
+    const FetchRequest request{request_id, kMultiGetSample};
+    const std::uint64_t count = samples.size();
+    auto wire = PayloadArena::acquire(sizeof(request) + sizeof(count) +
+                                      samples.size() * sizeof(SampleId));
+    std::memcpy(wire->data(), &request, sizeof(request));
+    std::memcpy(wire->data() + sizeof(request), &count, sizeof(count));
+    std::memcpy(wire->data() + sizeof(request) + sizeof(count), samples.data(),
+                samples.size() * sizeof(SampleId));
+    if (Status sent = endpoint_.send(holder, kFetchRequestTag,
+                                     comm::PayloadPtr(std::move(wire)));
+        !sent.ok()) {
+      attempt.set_status(sent.code());
+      last = sent;
+      break;
+    }
+    if (round == 0 && while_waiting) while_waiting();
+    auto response = endpoint_.recv_for(response_tag(request_id), policy_.timeout);
+    if (!response.ok()) {
+      attempt.set_status(response.status().code());
+      last = response.status();
+      if (last.code() != StatusCode::kTimeout) break;  // shutdown etc.
+      // One breaker strike per failed *envelope*, not per sample. The
+      // timeout that trips the breaker still reports kTimeout, but the
+      // rest of the budget is not burned against an open breaker.
+      record_timeout(holder);
+      if (breaker_open(holder)) break;
+      continue;  // retry the whole batch
+    }
 
-    Seconds backoff = policy_.backoff_base;
-    const std::uint32_t attempts = 1 + policy_.max_retries;
-    for (std::uint32_t round = 0; round < attempts && !answered; ++round) {
-      if (round > 0) {
-        ++retries_;
-        LOBSTER_METRIC_COUNT("comm.retries", 1);
-        telemetry::Span sleep(telemetry::SpanKind::kBackoff, endpoint_.rank(),
-                              samples.front());
-        sleep.set_arg2(round);
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff = std::min(backoff * 2.0, policy_.backoff_cap);
-      }
-      // One envelope per attempt, whatever the batch size. arg = batch
-      // size, arg2 = holder.
-      telemetry::Span attempt(telemetry::SpanKind::kAttempt, endpoint_.rank(),
-                              samples.size());
-      attempt.set_arg2(holder);
-      const std::uint64_t request_id = next_request_id_.fetch_add(1);
-      const FetchRequest request{request_id, kMultiGetSample};
-      const std::uint64_t count = samples.size();
-      auto wire = PayloadArena::acquire(sizeof(request) + sizeof(count) +
-                                        samples.size() * sizeof(SampleId));
-      std::memcpy(wire->data(), &request, sizeof(request));
-      std::memcpy(wire->data() + sizeof(request), &count, sizeof(count));
-      std::memcpy(wire->data() + sizeof(request) + sizeof(count), samples.data(),
-                  samples.size() * sizeof(SampleId));
-      if (Status sent = endpoint_.send(holder, kFetchRequestTag,
-                                       comm::PayloadPtr(std::move(wire)));
-          !sent.ok()) {
-        attempt.set_status(sent.code());
-        last = sent;
-        break;
-      }
-      if (round == 0 && while_waiting) while_waiting();
-      auto response = endpoint_.recv_for(response_tag(request_id), policy_.timeout);
-      if (!response.ok()) {
-        attempt.set_status(response.status().code());
-        last = response.status();
-        if (last.code() != StatusCode::kTimeout) break;  // shutdown etc.
-        // One breaker strike per failed *envelope*, not per sample.
-        record_timeout(holder);
-        if (breaker_open(holder)) break;
-        continue;  // retry the whole batch
-      }
-
-      answered = true;
-      const auto& reply = response->bytes();
-      std::size_t off = 0;
-      ResponseHeader header{};
-      std::uint64_t reply_count = 0;
-      bool framing_ok = reply.size() >= sizeof(header) + sizeof(reply_count);
-      if (framing_ok) {
-        std::memcpy(&header, reply.data(), sizeof(header));
-        off += sizeof(header);
-        std::memcpy(&reply_count, reply.data() + off, sizeof(reply_count));
-        off += sizeof(reply_count);
-        framing_ok = header.sample == kMultiGetSample && header.found == 1 &&
-                     reply_count == samples.size();
-      }
-      bool any_corrupt = false;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (framing_ok && off + sizeof(SampleId) + sizeof(std::uint64_t) <= reply.size()) {
-          SampleId id = kInvalidSample;
-          std::uint64_t found_size = 0;
-          std::memcpy(&id, reply.data() + off, sizeof(id));
-          off += sizeof(id);
-          std::memcpy(&found_size, reply.data() + off, sizeof(found_size));
-          off += sizeof(found_size);
-          if (id != samples[i] || off + found_size > reply.size()) {
-            framing_ok = false;  // framing lost; the rest is unreadable
-          } else if (found_size == 0) {
-            results.emplace_back(Status::not_found("peer no longer holds sample"));
-            continue;
-          } else if (verify_sample_payload(samples[i], reply.data() + off,
-                                           static_cast<std::size_t>(found_size))) {
-            auto buffer = PayloadArena::acquire(static_cast<std::size_t>(found_size));
-            std::memcpy(buffer->data(), reply.data() + off,
-                        static_cast<std::size_t>(found_size));
-            off += static_cast<std::size_t>(found_size);
+    const auto& reply = response->bytes();
+    std::size_t off = 0;
+    ResponseHeader header{};
+    std::uint64_t reply_count = 0;
+    bool framing_ok = reply.size() >= sizeof(header) + sizeof(reply_count);
+    if (framing_ok) {
+      std::memcpy(&header, reply.data(), sizeof(header));
+      off += sizeof(header);
+      std::memcpy(&reply_count, reply.data() + off, sizeof(reply_count));
+      off += sizeof(reply_count);
+      framing_ok = header.sample == kMultiGetSample && header.found == 1 &&
+                   reply_count == samples.size();
+    }
+    bool any_corrupt = false;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      if (framing_ok && reply.size() - off >= kMultiGetReplySampleBytes) {
+        SampleId id = kInvalidSample;
+        std::uint64_t found_size = 0;
+        std::memcpy(&id, reply.data() + off, sizeof(id));
+        off += sizeof(id);
+        std::memcpy(&found_size, reply.data() + off, sizeof(found_size));
+        off += sizeof(found_size);
+        // off <= reply.size() here, so this subtraction cannot wrap, while
+        // `off + found_size` would for a found_size near 2^64.
+        if (id != samples[i] || found_size > reply.size() - off) {
+          framing_ok = false;  // framing lost; the rest is unreadable
+        } else if (found_size == 0) {
+          results.emplace_back(Status::not_found("peer no longer holds sample"));
+          continue;
+        } else {
+          const auto size = static_cast<std::size_t>(found_size);
+          const std::byte* body = reply.data() + off;
+          off += size;
+          if (verify_sample_payload(samples[i], body, size)) {
+            auto buffer = PayloadArena::acquire(size);
+            std::memcpy(buffer->data(), body, size);
             results.emplace_back(comm::PayloadPtr(std::move(buffer)));
-            continue;
           } else {
-            off += static_cast<std::size_t>(found_size);
             results.emplace_back(Status::corrupt("payload failed verification"));
             any_corrupt = true;
-            continue;
           }
-        } else {
-          framing_ok = false;
+          continue;
         }
-        results.emplace_back(Status::corrupt("multi-get reply malformed"));
-        any_corrupt = true;
-      }
-      attempt.set_status(any_corrupt ? StatusCode::kCorrupt : StatusCode::kOk);
-      // Whole-reply accounting mirrors the single-fetch contract: a reply
-      // with any corrupt bytes charges ONE strike; a clean reply (found or
-      // authoritative not-found alike) resets the peer's failure run.
-      if (any_corrupt) {
-        record_corrupt(holder);
       } else {
-        record_success(holder);
+        framing_ok = false;
       }
+      results.emplace_back(Status::corrupt("multi-get reply malformed"));
+      any_corrupt = true;
     }
+    attempt.set_status(any_corrupt ? StatusCode::kCorrupt : StatusCode::kOk);
+    // A reply with any corrupt bytes charges ONE strike and is never
+    // retried here: the caller routes to the next holder. A clean reply
+    // (found or authoritative not-found alike) resets the failure run.
+    if (any_corrupt) {
+      record_corrupt(holder);
+    } else {
+      record_success(holder);
+    }
+    return results;
   }
-
-  if (!answered) {
-    for (std::size_t i = 0; i < samples.size(); ++i) results.emplace_back(last);
-  }
+  results.assign(samples.size(), last);
   return results;
 }
 
@@ -658,10 +545,11 @@ Result<std::vector<SampleId>> DistributionManager::fetch_inventory(comm::Rank ho
   std::memcpy(&header, payload.data(), sizeof(header));
   std::memcpy(&count, payload.data() + sizeof(header), sizeof(count));
   const std::size_t ids_offset = sizeof(header) + sizeof(count);
-  const std::size_t expected =
-      ids_offset + count * sizeof(SampleId) + sizeof(std::uint64_t);
+  // Compared by division: `count * sizeof(SampleId)` wraps for a false
+  // count near 2^62 and would pass a short reply.
+  const std::size_t ids_bytes = payload.size() - ids_offset - sizeof(std::uint64_t);
   if (header.sample != kInventorySample || header.found != 1 ||
-      payload.size() != expected) {
+      ids_bytes % sizeof(SampleId) != 0 || count != ids_bytes / sizeof(SampleId)) {
     record_corrupt(holder);
     return report(Status::corrupt("inventory reply malformed"));
   }

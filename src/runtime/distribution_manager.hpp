@@ -6,12 +6,13 @@
 // and request training samples from the remote compute nodes."
 //
 // One DistributionManager runs per node over the comm bus: a server thread
-// answers peers' fetch requests from the node's local store; fetch_remote()
-// performs a request/response round-trip. Sample payloads are synthesized
-// deterministically from the sample id, so receivers can verify integrity
-// end to end.
+// answers peers' inventory and multi-get requests from the node's local
+// store. Every sample fetch, one sample (fetch_remote) or many
+// (fetch_remote_many), is the same request/reply round: one multi-get
+// envelope per attempt. Sample payloads are synthesized deterministically
+// from the sample id, so receivers can verify integrity end to end.
 //
-// Fault tolerance (DESIGN.md §9): fetch_remote() is deadline-based — each
+// Fault tolerance (DESIGN.md §9): the round is deadline-based — each
 // attempt waits FetchPolicy::timeout for the reply, then retries with
 // bounded exponential backoff, and finally reports StatusCode::kTimeout. A
 // per-peer circuit breaker turns repeated timeouts into an immediate
@@ -73,7 +74,7 @@ bool verify_sample_payload(SampleId sample, const std::vector<std::byte>& payloa
 /// Streaming overload: verifies in place (word-wise compare), no allocation.
 bool verify_sample_payload(SampleId sample, const std::byte* data, std::size_t size);
 
-/// Timeout / retry / circuit-breaker knobs for fetch_remote. The defaults
+/// Timeout / retry / circuit-breaker knobs for the fetch round. The defaults
 /// suit the in-process bus (microsecond round-trips): generous enough that
 /// a healthy-but-busy peer never trips the breaker, tight enough that a
 /// dead peer costs well under a second before degraded routing kicks in.
@@ -135,8 +136,9 @@ class DistributionManager {
   /// Stops serving (idempotent). The comm bus must still be alive.
   void stop();
 
-  /// Fetch of `sample` from `holder`'s cache with timeout/retry per the
-  /// policy. Failure causes:
+  /// Fetch of `sample` from `holder`'s cache: the multi-get round with one
+  /// id (its kAttempt spans carry arg = batch size 1), traced under the
+  /// caller's span, with the payload copied out. Failure causes:
   ///   kNotFound  — the peer answered: it no longer holds the sample
   ///                (raced with an eviction); authoritative, do not retry;
   ///   kTimeout   — no reply within the retry budget (peer slow or dead);
@@ -148,9 +150,8 @@ class DistributionManager {
   Result<std::vector<std::byte>> fetch_remote(SampleId sample, comm::Rank holder);
 
   /// Batched fetch: all of `samples` from `holder` in ONE request/reply
-  /// round-trip per attempt, instead of one envelope per sample. The reply
-  /// carries per-sample status, so the per-sample failure vocabulary (and
-  /// therefore the caller's retry/detour/quarantine routing) is unchanged:
+  /// round-trip per attempt. The reply carries per-sample status, so the
+  /// failure vocabulary is fetch_remote's, per sample:
   ///   kNotFound — the peer answered: it no longer holds that sample;
   ///   kCorrupt  — that sample's bytes failed verification (one breaker
   ///               strike per corrupted *reply*, not per sample), or the
@@ -161,7 +162,8 @@ class DistributionManager {
   /// arena-backed and shared zero-copy into KvStore / the bus. The batch
   /// round is traced as its own kMultiGet root span (arg = holder,
   /// arg2 = iter), closed before this returns — per-sample fallback fetches
-  /// a caller issues afterwards root their own kFetch trees as usual.
+  /// a caller issues afterwards root their own kFetch trees as usual. The
+  /// open-breaker fast-fail happens before, outside that span.
   /// `while_waiting`, when set, runs once on the calling thread after the
   /// first envelope is sent and before its reply is awaited, so the caller's
   /// local work overlaps the holder's serve. It runs inside the batch's
@@ -229,7 +231,14 @@ class DistributionManager {
   void serve_multi_get(const comm::Message& request_message, std::uint64_t request_id);
   void count_serve_send_failure(const Status& sent, comm::Rank requester,
                                 std::uint64_t request_id);
-  Result<std::vector<std::byte>> fetch_once(SampleId sample, comm::Rank holder);
+  /// Counts and traces a breaker fast-fail; returns the kPeerDown status.
+  Status fast_fail(comm::Rank holder, SampleId sample);
+  /// The one sample request/reply round (DESIGN.md §8, §9): a multi-get
+  /// envelope per attempt, timeout/backoff retries, reply decode, in-place
+  /// verification and breaker accounting. Results align with `samples`.
+  std::vector<Result<comm::PayloadPtr>> fetch_round(comm::Rank holder,
+                                                    const std::vector<SampleId>& samples,
+                                                    const std::function<void()>& while_waiting);
   void record_success(comm::Rank holder);
   void record_timeout(comm::Rank holder);
   void record_corrupt(comm::Rank holder);

@@ -271,11 +271,9 @@ void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
   }
 
   // Batched cold path: materialize straight into arena-backed buffers and
-  // publish — no span bookkeeping, no per-sample heap traffic. Untraced, it
-  // also runs while each multi-get below waits on its holder, so local PFS
-  // work overlaps the holder's serve. Traced, the per-sample path at the
-  // end handles the whole batch instead.
-  const bool traced = telemetry::SpanLog::instance().enabled();
+  // publish — no span bookkeeping, no per-sample heap traffic. It runs
+  // while each multi-get below waits on its holder, so local PFS work
+  // overlaps the holder's serve, and once more at the end for the rest.
   std::size_t pfs_done = 0;
   const auto materialize_pending = [&] {
     for (; pfs_done < pfs_batch.size(); ++pfs_done) {
@@ -295,8 +293,7 @@ void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
     }
   };
   // Wrapped by reference: the std::function stays allocation-free.
-  const std::function<void()> while_waiting =
-      traced ? std::function<void()>() : std::function<void()>(std::cref(materialize_pending));
+  const std::function<void()> while_waiting(std::cref(materialize_pending));
 
   // One multi-get envelope per holder slice: consecutive samples whose
   // framed reply fits one arena class, so no reply becomes an oversize heap
@@ -370,19 +367,7 @@ void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
   }
 
   for (const LoadRequest* request : fallback) execute_request(*request, accounting);
-
-  if (!traced) {
-    materialize_pending();
-    return;
-  }
-  // Spans armed: keep the per-sample kFetch/kPfsFallback trace shape the
-  // span-analysis gates are written against. Every entry here is already
-  // routed to the PFS, so the single path must not probe or ask a peer.
-  for (const LoadRequest* request : pfs_batch) {
-    LoadRequest cold = *request;
-    cold.tier = FetchTier::kPfs;
-    execute_request(cold, accounting);
-  }
+  materialize_pending();
 }
 
 ExecutionReport PlanExecutor::run() {

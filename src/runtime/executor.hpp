@@ -267,11 +267,11 @@ class PlanExecutor {
   /// misses into multi-get envelopes per holder
   /// (DistributionManager::fetch_remote_many), each sized so its reply fits
   /// one arena class, and batch-materializes cold misses from the PFS into
-  /// arena-backed buffers while those envelopes wait on their holders
-  /// (untraced runs only). An authoritative not-found goes straight to the
-  /// PFS batch; other per-sample failures fall back to execute_request, so
-  /// retry / detour / quarantine routing and kFetch span trees are unchanged
-  /// for every degraded sample.
+  /// arena-backed buffers while those envelopes wait on their holders.
+  /// Traced and untraced runs take the same branches. An authoritative
+  /// not-found goes straight to the PFS batch; other per-sample failures
+  /// (and singleton holder slices) fall back to execute_request, which
+  /// roots a kFetch span tree for each of them.
   void execute_batch(const std::vector<LoadRequest>& requests, GpuAccounting& accounting);
 
   ExecutorConfig config_;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "cache/kv_store.hpp"
 #include "comm/bus.hpp"
 #include "comm/fault.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/tier_rates.hpp"
 #include "data/dataset.hpp"
@@ -643,6 +645,241 @@ TEST(MultiGetFetch, EmptyBatchIsANoOp) {
   DistributionManager client(bus.endpoint(0), nullptr, nullptr, tight_policy());
   EXPECT_TRUE(client.fetch_remote_many(1, {}, 0).empty());
   EXPECT_EQ(client.timeouts(), 0U);
+}
+
+// ---- The sample wire decoder against hand-written peers.
+
+// Wire constants of the sample protocol: the request tag, and the multi-get
+// sentinel id that heads every sample request and reply.
+constexpr comm::Tag kFetchRequestTag = 0x0F00;
+constexpr SampleId kMultiGetSample = kInvalidSample - 2;
+
+template <typename T>
+void append(std::vector<std::byte>& out, const T& value) {
+  const auto* bytes = reinterpret_cast<const std::byte*>(&value);
+  out.insert(out.end(), bytes, bytes + sizeof(T));
+}
+
+/// Reply header: the sentinel, found = 1 plus three padding bytes
+/// (little-endian), then the sample count.
+constexpr std::size_t kReplyCountOffset = 8;
+
+std::vector<std::byte> multi_get_reply(const std::vector<SampleId>& ids, Bytes size) {
+  std::vector<std::byte> reply;
+  append(reply, kMultiGetSample);
+  append(reply, std::uint32_t{1});
+  append(reply, std::uint64_t{ids.size()});
+  for (const SampleId id : ids) {
+    append(reply, id);
+    append(reply, std::uint64_t{size});
+    const auto payload = make_sample_payload(id, size);
+    reply.insert(reply.end(), payload.begin(), payload.end());
+  }
+  return reply;
+}
+
+/// Rank 0 fetches from rank 1, whose raw endpoint answers the one multi-get
+/// request with a scripted reply. The answer goes out from the
+/// while_waiting hook, after the request is sent and before the client
+/// waits, so no server thread is needed.
+struct ScriptedHolder {
+  static FetchPolicy policy() {
+    FetchPolicy policy = tight_policy();
+    policy.max_retries = 0;
+    policy.corrupt_strike_threshold = 0;  // never fence rank 1 off
+    return policy;
+  }
+
+  std::vector<Result<comm::PayloadPtr>> fetch(const std::vector<SampleId>& samples,
+                                              std::vector<std::byte> reply) {
+    comm::Endpoint& holder = bus.endpoint(1);
+    return client.fetch_remote_many(1, samples, 0, [&] {
+      const auto request = holder.recv(kFetchRequestTag);
+      ASSERT_TRUE(request.ok());
+      const auto request_id = comm::Endpoint::value_of<std::uint64_t>(*request);
+      (void)holder.send(0, DistributionManager::response_tag(request_id), std::move(reply));
+    });
+  }
+
+  comm::MessageBus bus{2};
+  DistributionManager client{bus.endpoint(0), nullptr, nullptr, policy()};
+};
+
+/// The decoder's contract for any reply: per sample, ok with verified
+/// bytes, kNotFound or kCorrupt. Returns how many samples came back ok.
+std::size_t expect_sound(const std::vector<SampleId>& samples,
+                         const std::vector<Result<comm::PayloadPtr>>& results) {
+  EXPECT_EQ(results.size(), samples.size());
+  std::size_t ok = 0;
+  for (std::size_t i = 0; i < std::min(results.size(), samples.size()); ++i) {
+    if (results[i].ok()) {
+      EXPECT_TRUE(verify_sample_payload(samples[i], **results[i])) << "sample " << i;
+      ++ok;
+    } else {
+      const StatusCode code = results[i].status().code();
+      EXPECT_TRUE(code == StatusCode::kNotFound || code == StatusCode::kCorrupt)
+          << "sample " << i << ": " << results[i].status().to_string();
+    }
+  }
+  return ok;
+}
+
+const std::vector<SampleId> kThreeSamples = {11, 12, 13};
+constexpr Bytes kWireSampleBytes = 64;
+
+TEST(MultiGetDecoder, HugeFoundSizeIsCorruptNotAnOverRead) {
+  // found_size = 2^64 - 21 once wrapped `off + found_size` below the reply
+  // size, so the decoder verified 2^64 - 21 bytes of a 56-byte reply. The
+  // payload it points at is valid as far as it goes (right id, matching
+  // length, true pattern to the reply's end), so only the bounds check
+  // stands between the decoder and a read past the buffer.
+  constexpr std::uint64_t kHuge = ~std::uint64_t{20};
+  constexpr SampleId kSample = 7;
+  std::vector<std::byte> reply;
+  append(reply, kMultiGetSample);
+  append(reply, std::uint32_t{1});
+  append(reply, std::uint64_t{1});
+  append(reply, kSample);
+  append(reply, kHuge);
+  auto payload = make_sample_payload(kSample, 28);
+  std::memcpy(payload.data() + sizeof(SampleId), &kHuge, sizeof(kHuge));
+  reply.insert(reply.end(), payload.begin(), payload.end());
+
+  ScriptedHolder peer;
+  const auto results = peer.fetch({kSample}, std::move(reply));
+  ASSERT_EQ(results.size(), 1U);
+  EXPECT_EQ(results[0].status().code(), StatusCode::kCorrupt);
+  EXPECT_EQ(peer.client.corrupt_replies(), 1U);
+}
+
+TEST(MultiGetDecoder, EveryTruncationDecodesSoundly) {
+  const auto clean = multi_get_reply(kThreeSamples, kWireSampleBytes);
+  ScriptedHolder peer;
+  for (std::size_t keep = 0; keep <= clean.size(); ++keep) {
+    SCOPED_TRACE(keep);
+    const auto results =
+        peer.fetch(kThreeSamples, std::vector<std::byte>(clean.begin(), clean.begin() + keep));
+    // Only the whole reply delivers every sample.
+    EXPECT_EQ(expect_sound(kThreeSamples, results) == kThreeSamples.size(),
+              keep == clean.size());
+  }
+}
+
+TEST(MultiGetDecoder, EverySingleByteFlipDecodesSoundly) {
+  const auto clean = multi_get_reply(kThreeSamples, kWireSampleBytes);
+  ScriptedHolder peer;
+  Rng rng(0xF11B);
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    SCOPED_TRACE(at);
+    auto flipped = clean;
+    flipped[at] ^= static_cast<std::byte>(1 + rng.bounded(255));
+    const std::size_t ok = expect_sound(kThreeSamples, peer.fetch(kThreeSamples, flipped));
+    // Only the header's three padding bytes carry nothing to check.
+    if (at < 5 || at >= kReplyCountOffset) {
+      EXPECT_LT(ok, kThreeSamples.size());
+    }
+  }
+}
+
+TEST(MultiGetDecoder, FalseCountIdAndSizeFieldsDecodeSoundly) {
+  const auto clean = multi_get_reply(kThreeSamples, kWireSampleBytes);
+  const auto patched = [&clean](std::size_t at, auto value) {
+    auto reply = clean;
+    std::memcpy(reply.data() + at, &value, sizeof(value));
+    return reply;
+  };
+  ScriptedHolder peer;
+  for (const std::uint64_t count : {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{4},
+                                    std::uint64_t{1} << 32, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    const auto results = peer.fetch(kThreeSamples, patched(kReplyCountOffset, count));
+    EXPECT_EQ(expect_sound(kThreeSamples, results), 0U);
+  }
+  const std::size_t stride = DistributionManager::kMultiGetReplySampleBytes + kWireSampleBytes;
+  for (std::size_t i = 0; i < kThreeSamples.size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::size_t id_at = DistributionManager::kMultiGetReplyHeaderBytes + i * stride;
+    for (const SampleId id : {kThreeSamples[i] + 1, kInvalidSample, kMultiGetSample}) {
+      const auto results = peer.fetch(kThreeSamples, patched(id_at, id));
+      EXPECT_EQ(expect_sound(kThreeSamples, results), i);
+    }
+    const std::size_t size_at = id_at + sizeof(SampleId);
+    // The payload's own length field follows its id.
+    const std::size_t length_at = size_at + sizeof(std::uint64_t) + sizeof(SampleId);
+    for (const std::uint64_t size :
+         {std::uint64_t{0}, std::uint64_t{kWireSampleBytes - 1},
+          std::uint64_t{kWireSampleBytes + 1}, std::uint64_t{clean.size()},
+          std::uint64_t{1} << 63, ~std::uint64_t{20}, ~std::uint64_t{0}}) {
+      SCOPED_TRACE(size);
+      auto reply = patched(size_at, size);
+      EXPECT_EQ(expect_sound(kThreeSamples, peer.fetch(kThreeSamples, reply)), i);
+      // A consistent lie: the payload's length field agrees with found_size.
+      // A shorter size still frames a genuine payload prefix, which may
+      // verify; nothing after it can.
+      if (size >= sizeof(SampleId) + sizeof(std::uint64_t)) {
+        std::memcpy(reply.data() + length_at, &size, sizeof(size));
+        EXPECT_LE(expect_sound(kThreeSamples, peer.fetch(kThreeSamples, reply)), i + 1);
+      }
+    }
+  }
+}
+
+TEST(MultiGetServe, TruncatedAndFalseCountRequestsNeverOverRead) {
+  // A live server fed hand-written requests: cut at every length, and with
+  // counts that claim more ids than the request carries. It must answer
+  // from the ids actually present, or drop a request whose sentinel is
+  // cut, and never read past the request.
+  comm::MessageBus bus(2);
+  DistributionManager server(bus.endpoint(1), [](SampleId) { return true; },
+                             [](SampleId) { return kWireSampleBytes; });
+  server.start();
+  comm::Endpoint& client = bus.endpoint(0);
+
+  constexpr std::size_t kSentinelEnd = 12;  // request id (8) + sentinel (4)
+  constexpr std::size_t kIdsOffset = 24;    // ... padding (4) + count (8)
+  std::uint64_t request_id = 1;
+  std::uint64_t served = 0;
+  const auto ask = [&](std::vector<std::byte> request, std::uint64_t expect_ids) {
+    const std::uint64_t id = request_id++;
+    if (request.size() >= sizeof(id)) std::memcpy(request.data(), &id, sizeof(id));
+    const bool answered = request.size() >= kSentinelEnd;
+    ASSERT_TRUE(client.send(1, kFetchRequestTag, std::move(request)).ok());
+    if (!answered) return;
+    const auto reply = client.recv_for(DistributionManager::response_tag(id), 5.0);
+    ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+    const auto& bytes = reply->bytes();
+    ASSERT_EQ(bytes.size(), DistributionManager::kMultiGetReplyHeaderBytes +
+                                expect_ids * (DistributionManager::kMultiGetReplySampleBytes +
+                                              kWireSampleBytes));
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + kReplyCountOffset, sizeof(count));
+    EXPECT_EQ(count, expect_ids);
+    served += expect_ids;
+  };
+
+  std::vector<std::byte> full;
+  append(full, std::uint64_t{0});
+  append(full, kMultiGetSample);
+  append(full, std::uint32_t{0});
+  append(full, std::uint64_t{kThreeSamples.size()});
+  for (const SampleId s : kThreeSamples) append(full, s);
+  ASSERT_EQ(full.size(), kIdsOffset + kThreeSamples.size() * sizeof(SampleId));
+
+  for (std::size_t keep = 0; keep <= full.size(); ++keep) {
+    SCOPED_TRACE(keep);
+    const std::uint64_t present = keep < kIdsOffset ? 0 : (keep - kIdsOffset) / sizeof(SampleId);
+    ask(std::vector<std::byte>(full.begin(), full.begin() + keep), present);
+  }
+  for (const std::uint64_t count : {std::uint64_t{4}, std::uint64_t{1000}, std::uint64_t{1} << 32,
+                                    ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    auto request = full;
+    std::memcpy(request.data() + sizeof(std::uint64_t) + sizeof(std::uint64_t), &count,
+                sizeof(count));
+    ask(std::move(request), kThreeSamples.size());
+  }
+  EXPECT_EQ(server.served_requests(), served);
+  server.stop();
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -180,6 +181,29 @@ TEST(RecoveryInventory, CorruptedInventoryReplyIsRejectedByTheChecksum) {
   EXPECT_EQ(inventory.status().code(), StatusCode::kCorrupt);
   EXPECT_GE(client.corrupt_replies(), 1U);
   server.stop();
+}
+
+TEST(RecoveryInventory, FalseCountNearTwoToTheSixtyTwoIsCorrupt) {
+  // A 24-byte reply (header, count, checksum) whose count makes
+  // `count * sizeof(SampleId)` wrap to zero: the shape check must reject
+  // it rather than size a 2^62-entry id list.
+  comm::MessageBus bus(2);
+  DistributionManager client(bus.endpoint(0), nullptr, nullptr, tight_policy());
+  std::thread holder([&bus] {
+    comm::Endpoint& endpoint = bus.endpoint(1);
+    const auto request = endpoint.recv(0x0F00);  // the sample-protocol request tag
+    ASSERT_TRUE(request.ok());
+    const auto request_id = comm::Endpoint::value_of<std::uint64_t>(*request);
+    const SampleId inventory_sentinel = kInvalidSample - 1;
+    const std::uint64_t header[3] = {inventory_sentinel | (std::uint64_t{1} << 32),
+                                     std::uint64_t{1} << 62, 0};
+    std::vector<std::byte> reply(sizeof(header));
+    std::memcpy(reply.data(), header, sizeof(header));
+    (void)endpoint.send(0, DistributionManager::response_tag(request_id), std::move(reply));
+  });
+  const auto inventory = client.fetch_inventory(1);
+  holder.join();
+  EXPECT_EQ(inventory.status().code(), StatusCode::kCorrupt);
 }
 
 // ---- Executor quarantine: corrupt holders re-routed, KV entries evicted.

@@ -504,6 +504,7 @@ TEST(KvStore, ServesAsExecutorRemoteTier) {
 // envelopes, replies stay within one arena class, and an authoritative
 // not-found costs one round trip (appended coverage).
 
+#include <array>
 #include <unordered_set>
 
 #include "cache/directory.hpp"
@@ -678,6 +679,65 @@ TEST(BatchedPrefetch, NotFoundFromALiveHolderCostsOneRoundTrip) {
   EXPECT_EQ(cluster.holder.served_requests(), 0U);
   EXPECT_EQ(report.iterations[0].pfs_fetches, kBatch);
   EXPECT_EQ(report.degraded_fetches, 0U);
+}
+
+TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
+  // Every minibatch mixes samples node 1 serves, samples the directory
+  // credits to node 1 that it no longer holds, and samples nobody holds.
+  // Arming spans must not change one routing decision, and a miss routed
+  // to the PFS by the batch path must not root a per-sample kFetch tree.
+  constexpr std::uint32_t kIterations = 2;
+  constexpr std::uint32_t kBatch = 96;
+  struct Outcome {
+    std::vector<std::array<std::uint32_t, 4>> tiers;  // per iteration
+    std::uint64_t served = 0;
+    std::uint64_t failed = 0;
+  };
+  std::unordered_set<SampleId> routed_to_pfs;
+  const auto run = [&](bool spans) {
+    HolderCluster cluster(kIterations, kBatch, 512);
+    for (IterId i = 0; i < kIterations; ++i) {
+      const auto batch = cluster.sampler.minibatch(0, i, 0, 0);
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        if (k % 3 == 2) {
+          routed_to_pfs.insert(batch[k]);  // credited to nobody
+          continue;
+        }
+        cluster.place_on_holder({batch[k]}, /*serve=*/k % 3 == 0);
+        if (k % 3 == 1) routed_to_pfs.insert(batch[k]);  // holder says not found
+      }
+    }
+    const auto report = cluster.run(spans);
+    EXPECT_TRUE(report.clean());
+    Outcome outcome;
+    for (const auto& iteration : report.iterations) {
+      outcome.tiers.push_back({iteration.local_hits, iteration.remote_fetches,
+                               iteration.pfs_fetches, iteration.degraded_fetches});
+    }
+    outcome.served = cluster.holder.served_requests();
+    outcome.failed = cluster.holder.failed_requests();
+    return outcome;
+  };
+
+  const Outcome untraced = run(/*spans=*/false);
+  const Outcome traced = run(/*spans=*/true);
+  const auto spans = SpanLog::instance().snapshot();
+  SpanLog::instance().clear();
+
+  EXPECT_EQ(traced.tiers, untraced.tiers);
+  EXPECT_EQ(traced.served, untraced.served);
+  EXPECT_EQ(traced.failed, untraced.failed);
+  EXPECT_EQ(untraced.served, std::uint64_t{kIterations} * kBatch / 3);
+  EXPECT_EQ(untraced.failed, std::uint64_t{kIterations} * kBatch / 3);
+
+  std::size_t pfs_fetch_roots = 0;
+  for (const auto& span : spans) {
+    if (span.kind == SpanKind::kFetch && span.parent_span_id == 0 &&
+        routed_to_pfs.count(static_cast<SampleId>(span.arg)) > 0) {
+      ++pfs_fetch_roots;
+    }
+  }
+  EXPECT_EQ(pfs_fetch_roots, 0U);
 }
 
 }  // namespace
