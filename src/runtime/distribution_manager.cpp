@@ -1,6 +1,7 @@
 #include "runtime/distribution_manager.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -50,54 +51,84 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-/// Counter-mode pattern word: chunk `k` of a payload is derived directly
-/// from (seed, k) with the splitmix64 finalizer, so consecutive chunks have
-/// no data dependency and the CPU pipelines them. (The earlier chained
-/// `state = splitmix64(state)` form serialized one mix latency per 8 bytes,
-/// which dominated cold-miss materialization at 4KB payloads.)
-std::uint64_t pattern_word(std::uint64_t seed, std::uint64_t chunk) noexcept {
-  std::uint64_t z = seed + (chunk + 1) * 0x9E3779B97F4A7C15ULL;
+constexpr std::size_t kWordBytes = sizeof(std::uint64_t);
+constexpr std::size_t kLineWords = 8;
+constexpr std::size_t kLineBytes = kLineWords * kWordBytes;
+
+/// Line-keyed pattern: line `n` (64 bytes) of a payload gets one splitmix64
+/// finalizer of (seed, n), and its word j is that value XOR kLane[j]. Lane
+/// constants are distinct multiples of the golden-ratio increment with
+/// kLane[0] = 0, so no two words of a line are equal (a swap within a line
+/// fails) while a line costs one mix instead of eight. Lines have no data
+/// dependency on each other, so the CPU pipelines them.
+constexpr std::array<std::uint64_t, kLineWords> kLane = [] {
+  std::array<std::uint64_t, kLineWords> lane{};
+  for (std::size_t j = 0; j < kLineWords; ++j) lane[j] = j * 0x9E3779B97F4A7C15ULL;
+  return lane;
+}();
+
+std::uint64_t line_word(std::uint64_t seed, std::uint64_t line) noexcept {
+  std::uint64_t z = seed + (line + 1) * 0x9E3779B97F4A7C15ULL;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
 
-/// Keyed-pattern fill, one independent pattern_word per 8-byte chunk.
-/// `begin` is always chunk-aligned (0, 8, or 16); the byte-tail derivation
-/// matches the word path (byte i == (word >> ((i % 8) * 8)) & 0xFF) so
-/// endianness never changes what verification accepts.
+/// Pattern word `k`, counted from the start of the pattern.
+std::uint64_t pattern_word(std::uint64_t seed, std::uint64_t k) noexcept {
+  return line_word(seed, k / kLineWords) ^ kLane[k % kLineWords];
+}
+
+/// Pattern byte at `offset` from the start of the pattern: byte offset % 8
+/// of its word, little-endian, so endianness never changes what
+/// verification accepts.
+std::byte pattern_byte(std::uint64_t seed, std::size_t offset) noexcept {
+  const std::uint64_t word = pattern_word(seed, offset / kWordBytes);
+  return static_cast<std::byte>((word >> ((offset % kWordBytes) * 8)) & 0xFF);
+}
+
+/// Keyed-pattern fill of data[begin, size): whole lines, then whole words,
+/// then bytes, all from pattern_word. `begin` is word-aligned (0, 8 or 16).
 void fill_pattern(std::byte* data, std::size_t begin, std::size_t size,
                   std::uint64_t seed) {
   std::size_t i = begin;
-  std::uint64_t chunk = 0;
   if constexpr (std::endian::native == std::endian::little) {
-    for (; i + sizeof(std::uint64_t) <= size; i += sizeof(std::uint64_t), ++chunk) {
-      const std::uint64_t word = pattern_word(seed, chunk);
-      std::memcpy(data + i, &word, sizeof(word));
+    for (std::uint64_t line = 0; i + kLineBytes <= size; i += kLineBytes, ++line) {
+      const std::uint64_t base = line_word(seed, line);
+      std::uint64_t words[kLineWords];
+      for (std::size_t j = 0; j < kLineWords; ++j) words[j] = base ^ kLane[j];
+      std::memcpy(data + i, words, kLineBytes);
+    }
+    for (; i + kWordBytes <= size; i += kWordBytes) {
+      const std::uint64_t word = pattern_word(seed, (i - begin) / kWordBytes);
+      std::memcpy(data + i, &word, kWordBytes);
     }
   }
-  for (; i < size; ++i) {
-    const std::uint64_t word = pattern_word(seed, (i - begin) / 8);
-    data[i] = static_cast<std::byte>((word >> ((i % 8) * 8)) & 0xFF);
-  }
+  for (; i < size; ++i) data[i] = pattern_byte(seed, i - begin);
 }
 
-/// Word-wise verification twin of fill_pattern; no allocation.
+/// Verification twin of fill_pattern; no allocation. A line's eight XOR
+/// differences are ORed and tested once, so every byte is still compared.
 bool check_pattern(const std::byte* data, std::size_t begin, std::size_t size,
                    std::uint64_t seed) {
   std::size_t i = begin;
-  std::uint64_t chunk = 0;
   if constexpr (std::endian::native == std::endian::little) {
-    for (; i + sizeof(std::uint64_t) <= size; i += sizeof(std::uint64_t), ++chunk) {
-      const std::uint64_t want = pattern_word(seed, chunk);
+    for (std::uint64_t line = 0; i + kLineBytes <= size; i += kLineBytes, ++line) {
+      const std::uint64_t base = line_word(seed, line);
+      std::uint64_t words[kLineWords];
+      std::memcpy(words, data + i, kLineBytes);
+      std::uint64_t diff = 0;
+      for (std::size_t j = 0; j < kLineWords; ++j) diff |= words[j] ^ base ^ kLane[j];
+      if (diff != 0) return false;
+    }
+    for (; i + kWordBytes <= size; i += kWordBytes) {
       std::uint64_t got = 0;
-      std::memcpy(&got, data + i, sizeof(got));
-      if (got != want) return false;
+      std::memcpy(&got, data + i, kWordBytes);
+      if (got != pattern_word(seed, (i - begin) / kWordBytes)) return false;
     }
   }
   for (; i < size; ++i) {
-    const std::uint64_t word = pattern_word(seed, (i - begin) / 8);
-    if (data[i] != static_cast<std::byte>((word >> ((i % 8) * 8)) & 0xFF)) return false;
+    if (data[i] != pattern_byte(seed, i - begin)) return false;
   }
   return true;
 }
@@ -375,19 +406,17 @@ Status DistributionManager::fast_fail(comm::Rank holder, SampleId sample) {
 Result<std::vector<std::byte>> DistributionManager::fetch_remote(SampleId sample,
                                                                  comm::Rank holder) {
   if (breaker_open(holder)) return fast_fail(holder, sample);
-  auto result = std::move(fetch_round(holder, {sample}, {}).front());
+  const auto result = std::move(fetch_round(holder, {sample}, {}).front());
   if (!result.ok()) return result.status();
-  const comm::PayloadPtr& payload = *result;
-  return std::vector<std::byte>(payload->begin(), payload->end());
+  return std::vector<std::byte>(result->begin(), result->end());
 }
 
-std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_remote_many(
+std::vector<Result<PayloadView>> DistributionManager::fetch_remote_many(
     comm::Rank holder, const std::vector<SampleId>& samples, IterId iter,
     const std::function<void()>& while_waiting) {
   if (samples.empty()) return {};
   if (breaker_open(holder)) {
-    return std::vector<Result<comm::PayloadPtr>>(samples.size(),
-                                                 fast_fail(holder, samples.front()));
+    return std::vector<Result<PayloadView>>(samples.size(), fast_fail(holder, samples.front()));
   }
   // One root span per batch round (arg = holder, arg2 = iter). It closes
   // before this returns, so per-sample fallback fetches the caller issues
@@ -397,10 +426,10 @@ std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_remote_many(
   return fetch_round(holder, samples, while_waiting);
 }
 
-std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_round(
+std::vector<Result<PayloadView>> DistributionManager::fetch_round(
     comm::Rank holder, const std::vector<SampleId>& samples,
     const std::function<void()>& while_waiting) {
-  std::vector<Result<comm::PayloadPtr>> results;
+  std::vector<Result<PayloadView>> results;
   results.reserve(samples.size());
   Status last = Status::timeout("no attempt made");
   Seconds backoff = policy_.backoff_base;
@@ -479,13 +508,13 @@ std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_round(
           results.emplace_back(Status::not_found("peer no longer holds sample"));
           continue;
         } else {
+          // The one verification of peer bytes: in place, where they come
+          // off the wire. An ok result is a view of the retained reply.
           const auto size = static_cast<std::size_t>(found_size);
-          const std::byte* body = reply.data() + off;
+          const std::size_t body = off;
           off += size;
-          if (verify_sample_payload(samples[i], body, size)) {
-            auto buffer = PayloadArena::acquire(size);
-            std::memcpy(buffer->data(), body, size);
-            results.emplace_back(comm::PayloadPtr(std::move(buffer)));
+          if (verify_sample_payload(samples[i], reply.data() + body, size)) {
+            results.emplace_back(PayloadView(response->payload, body, size));
           } else {
             results.emplace_back(Status::corrupt("payload failed verification"));
             any_corrupt = true;

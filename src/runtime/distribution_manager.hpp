@@ -37,9 +37,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/bus.hpp"
@@ -54,13 +56,13 @@ namespace lobster::runtime {
 /// end to end.
 std::uint64_t inventory_checksum(const std::vector<SampleId>& samples) noexcept;
 
-/// Deterministic synthetic payload for a sample (first bytes carry the id
-/// and a checksum; the rest is a keyed byte pattern).
+/// Deterministic synthetic payload for a sample (the first 16 bytes carry
+/// the id and the length; the rest is a keyed pattern with one splitmix64
+/// per 64-byte line).
 std::vector<std::byte> make_sample_payload(SampleId sample, Bytes size);
 
 /// Writes the payload for `sample` directly into `dst` (`size` bytes) —
-/// the allocation-free form the serve/materialize hot paths use (word-wise
-/// pattern generation, ~8x fewer RNG advances than the byte loop).
+/// the allocation-free form the serve/materialize hot paths use.
 void make_sample_payload_into(SampleId sample, Bytes size, std::byte* dst);
 
 /// Arena-backed payload (common/payload_arena.hpp): recycled buffer, no
@@ -71,8 +73,28 @@ comm::PayloadPtr make_sample_payload_shared(SampleId sample, Bytes size);
 /// Validates a payload produced by make_sample_payload.
 bool verify_sample_payload(SampleId sample, const std::vector<std::byte>& payload);
 
-/// Streaming overload: verifies in place (word-wise compare), no allocation.
+/// Streaming overload: verifies in place (line-wise compare), no allocation.
 bool verify_sample_payload(SampleId sample, const std::byte* data, std::size_t size);
+
+/// One sample's bytes inside a retained multi-get reply: the reply buffer
+/// plus the sample's offset and size in it. Holding the view keeps the whole
+/// reply alive; nothing is copied.
+class PayloadView {
+ public:
+  PayloadView(comm::PayloadPtr reply, std::size_t offset, std::size_t size) noexcept
+      : reply_(std::move(reply)), offset_(offset), size_(size) {}
+
+  const std::byte* data() const noexcept { return reply_->data() + offset_; }
+  std::size_t size() const noexcept { return size_; }
+  const std::byte* begin() const noexcept { return data(); }
+  const std::byte* end() const noexcept { return data() + size_; }
+  const comm::PayloadPtr& reply() const noexcept { return reply_; }
+
+ private:
+  comm::PayloadPtr reply_;
+  std::size_t offset_;
+  std::size_t size_;
+};
 
 /// Timeout / retry / circuit-breaker knobs for the fetch round. The defaults
 /// suit the in-process bus (microsecond round-trips): generous enough that
@@ -158,8 +180,9 @@ class DistributionManager {
   ///               reply's framing was mangled;
   ///   kTimeout / kPeerDown / kShutdown — whole-envelope failures, applied
   ///               to every sample in the batch.
-  /// Results align index-for-index with `samples`. Successful payloads are
-  /// arena-backed and shared zero-copy into KvStore / the bus. The batch
+  /// Results align index-for-index with `samples`. A successful result is a
+  /// view of the reply, verified in place where it came off the wire: the
+  /// caller neither copies nor re-verifies it. The batch
   /// round is traced as its own kMultiGet root span (arg = holder,
   /// arg2 = iter), closed before this returns — per-sample fallback fetches
   /// a caller issues afterwards root their own kFetch trees as usual. The
@@ -168,7 +191,7 @@ class DistributionManager {
   /// first envelope is sent and before its reply is awaited, so the caller's
   /// local work overlaps the holder's serve. It runs inside the batch's
   /// spans, so it should not open spans of its own.
-  std::vector<Result<comm::PayloadPtr>> fetch_remote_many(
+  std::vector<Result<PayloadView>> fetch_remote_many(
       comm::Rank holder, const std::vector<SampleId>& samples, IterId iter,
       const std::function<void()>& while_waiting = {});
 
@@ -236,9 +259,9 @@ class DistributionManager {
   /// The one sample request/reply round (DESIGN.md §8, §9): a multi-get
   /// envelope per attempt, timeout/backoff retries, reply decode, in-place
   /// verification and breaker accounting. Results align with `samples`.
-  std::vector<Result<comm::PayloadPtr>> fetch_round(comm::Rank holder,
-                                                    const std::vector<SampleId>& samples,
-                                                    const std::function<void()>& while_waiting);
+  std::vector<Result<PayloadView>> fetch_round(comm::Rank holder,
+                                               const std::vector<SampleId>& samples,
+                                               const std::function<void()>& while_waiting);
   void record_success(comm::Rank holder);
   void record_timeout(comm::Rank holder);
   void record_corrupt(comm::Rank holder);

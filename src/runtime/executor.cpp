@@ -115,8 +115,7 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
       }
     }
   }
-  const bool kv_hit = payload != nullptr;
-  bool remote_served = kv_hit;
+  bool remote_served = payload != nullptr;
   // Degraded routing (DESIGN.md §9): a holder that times out or trips its
   // circuit breaker is marked down in the directory — taking it out of
   // *every* subsequent routing decision, not just this request — and the
@@ -134,9 +133,10 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
     std::uint64_t exclude_mask = 0;
     NodeId holder = directory_->peer_holder(key, config_.node, exclude_mask);
     while (holder != cache::CacheDirectory::kInvalidNode) {
-      auto fetched = manager_->fetch_remote(request.sample, holder);
+      // fetch_remote verifies the bytes inside its round; an ok result is
+      // delivered as is.
+      const auto fetched = manager_->fetch_remote(request.sample, holder);
       if (fetched.ok()) {
-        payload = std::make_shared<const std::vector<std::byte>>(fetched.take());
         remote_served = true;
         break;
       }
@@ -168,17 +168,6 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
       }
       break;  // authoritative miss / shutdown: PFS fallback
     }
-  }
-  // Last-line verification: every remote tier above already verified, so a
-  // failure here means a bad payload slipped past tier-level quarantine.
-  // Never deliver, insert, or publish it — drop it and re-materialize from
-  // the PFS below.
-  if (remote_served && config_.verify_payloads &&
-      !verify_sample_payload(request.sample, *payload)) {
-    payload.reset();
-    remote_served = false;
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
   }
   if (failure_detour) {
     ++accounting.degraded_fetches;
@@ -323,16 +312,7 @@ void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
         const LoadRequest& request = *group[begin + i];
         const auto& result = results[i];
         if (result.ok()) {
-          // fetch_remote_many verified every payload in place; last-line
-          // verify again only under the belt-and-braces flag, mirroring
-          // execute_request.
-          if (config_.verify_payloads &&
-              !verify_sample_payload(request.sample, **result)) {
-            quarantined_.fetch_add(1, std::memory_order_relaxed);
-            LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
-            fallback.push_back(&request);
-            continue;
-          }
+          // Verified in place where it came off the wire: delivered as is.
           accounting.remote_bytes += request.bytes;
           ++accounting.remote_fetches;
           LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", request.bytes);

@@ -74,7 +74,9 @@ struct ExecutorConfig {
   /// Virtual fetch rates (bytes/s) per tier and preprocessing rate.
   TierRates rates = TierRates::defaults();
   Seconds t_train = 13e-3;
-  /// Verify each fetched payload (integrity check; small CPU cost).
+  /// Verify each KV-tier hit before delivering it; a failing entry is
+  /// evicted and re-fetched. Peer bytes are always verified once, inside
+  /// the distribution manager's fetch round, whatever this says.
   bool verify_payloads = true;
   /// Iteration-indexed capacity schedule for THIS node (scale_at(iter)):
   /// thermal throttling, co-tenant interference, a degraded NIC. Scales the

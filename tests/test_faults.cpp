@@ -18,6 +18,7 @@
 #include "cache/kv_store.hpp"
 #include "comm/bus.hpp"
 #include "comm/fault.hpp"
+#include "common/payload_arena.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/tier_rates.hpp"
@@ -510,9 +511,9 @@ TEST(MultiGetFetch, BatchRoundTripDeliversEveryVerifiedPayload) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().to_string();
     const auto& payload = *results[i];
-    ASSERT_TRUE(payload != nullptr);
-    EXPECT_EQ(payload->size(), 64 + (samples[i] % 5) * 96);
-    EXPECT_TRUE(verify_sample_payload(samples[i], *payload));
+    ASSERT_TRUE(payload.reply() != nullptr);
+    EXPECT_EQ(payload.size(), 64 + (samples[i] % 5) * 96);
+    EXPECT_TRUE(verify_sample_payload(samples[i], payload.data(), payload.size()));
   }
   // served_requests counts samples (as in the single path): all four rode
   // one envelope, so the round-trip burned zero retries/timeouts.
@@ -605,7 +606,7 @@ TEST(MultiGetFetch, CorruptedReplyQuarantinesAffectedSamplesAndStrikesOnce) {
       ++corrupt;
     } else {
       // Samples the bit-flips missed must still verify end to end.
-      EXPECT_TRUE(verify_sample_payload(samples[i], **results[i]));
+      EXPECT_TRUE(verify_sample_payload(samples[i], results[i]->data(), results[i]->size()));
     }
   }
   EXPECT_GT(corrupt, 0U);                   // the damage was detected...
@@ -637,6 +638,36 @@ TEST(MultiGetFetch, WhileWaitingRunsOnceAfterTheFirstSend) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(dead[0].status().code(), StatusCode::kTimeout);
   EXPECT_EQ(client.retries(), policy.max_retries);
+  server.stop();
+}
+
+TEST(MultiGetFetch, VerifiedRepliesAreNotCopied) {
+  comm::MessageBus bus(2);
+  FetchPolicy policy;
+  policy.timeout = 5.0;  // a retry would add acquires of its own
+  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+  DistributionManager server(bus.endpoint(1), [](SampleId) { return true; },
+                             [](SampleId) { return Bytes{4096}; });
+  server.start();
+  const auto acquires = [] {
+    const PayloadArena::Stats stats = PayloadArena::stats();
+    return stats.tls_hits + stats.pool_hits + stats.fresh_allocs + stats.oversize_allocs;
+  };
+
+  const std::vector<SampleId> samples{21, 22, 23, 24, 25, 26, 27, 28};
+  const std::uint64_t before = acquires();
+  const auto results = client.fetch_remote_many(1, samples, /*iter=*/0);
+  const std::uint64_t after = acquires();
+  // The request wire and the reply, nothing per sample: every verified
+  // result is a view of the one retained reply.
+  EXPECT_EQ(after - before, 2U);
+  EXPECT_EQ(client.retries(), 0U);
+  ASSERT_EQ(results.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().to_string();
+    EXPECT_EQ(results[i]->reply(), results.front()->reply());
+    EXPECT_TRUE(verify_sample_payload(samples[i], results[i]->data(), results[i]->size()));
+  }
   server.stop();
 }
 
@@ -690,8 +721,8 @@ struct ScriptedHolder {
     return policy;
   }
 
-  std::vector<Result<comm::PayloadPtr>> fetch(const std::vector<SampleId>& samples,
-                                              std::vector<std::byte> reply) {
+  std::vector<Result<PayloadView>> fetch(const std::vector<SampleId>& samples,
+                                         std::vector<std::byte> reply) {
     comm::Endpoint& holder = bus.endpoint(1);
     return client.fetch_remote_many(1, samples, 0, [&] {
       const auto request = holder.recv(kFetchRequestTag);
@@ -708,12 +739,13 @@ struct ScriptedHolder {
 /// The decoder's contract for any reply: per sample, ok with verified
 /// bytes, kNotFound or kCorrupt. Returns how many samples came back ok.
 std::size_t expect_sound(const std::vector<SampleId>& samples,
-                         const std::vector<Result<comm::PayloadPtr>>& results) {
+                         const std::vector<Result<PayloadView>>& results) {
   EXPECT_EQ(results.size(), samples.size());
   std::size_t ok = 0;
   for (std::size_t i = 0; i < std::min(results.size(), samples.size()); ++i) {
     if (results[i].ok()) {
-      EXPECT_TRUE(verify_sample_payload(samples[i], **results[i])) << "sample " << i;
+      EXPECT_TRUE(verify_sample_payload(samples[i], results[i]->data(), results[i]->size()))
+          << "sample " << i;
       ++ok;
     } else {
       const StatusCode code = results[i].status().code();

@@ -2,7 +2,9 @@
 // execution end-to-end (planner -> executor).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "baselines/strategies.hpp"
@@ -29,6 +31,116 @@ TEST(SamplePayload, DifferentSamplesDiffer) {
 TEST(SamplePayload, TinyPayloads) {
   EXPECT_TRUE(verify_sample_payload(9, make_sample_payload(9, 0)));
   EXPECT_TRUE(verify_sample_payload(9, make_sample_payload(9, 2)));
+}
+
+// Payload layout: 16 header bytes (id, length), then the keyed pattern in
+// 64-byte lines of eight 8-byte words.
+constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kPatternWordBytes = 8;
+constexpr std::size_t kPatternLineBytes = 64;
+
+TEST(SamplePayload, FillAndCheckAgreeForEverySizeUpTo320) {
+  // Sizes 0..320 cover header-only payloads, partial lines, word tails and
+  // byte tails. The pattern does not depend on the length, so every size's
+  // pattern must be a prefix of the longest one: lines, words and bytes all
+  // come from the same word function.
+  constexpr SampleId kSample = 4242;
+  const auto longest = make_sample_payload(kSample, 320);
+  for (std::size_t size = 0; size <= 320; ++size) {
+    SCOPED_TRACE(size);
+    const auto payload = make_sample_payload(kSample, size);
+    ASSERT_EQ(payload.size(), size);
+    EXPECT_TRUE(verify_sample_payload(kSample, payload));
+    if (size > kHeaderBytes) {
+      EXPECT_TRUE(std::equal(payload.begin() + kHeaderBytes, payload.end(),
+                             longest.begin() + kHeaderBytes));
+    }
+  }
+}
+
+TEST(SamplePayload, EverySingleByteFlipAtEveryOffsetFails) {
+  constexpr SampleId kSample = 31337;
+  const auto clean = make_sample_payload(kSample, 1000);
+  auto corrupted = clean;
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    for (unsigned flip = 1; flip < 256; ++flip) {
+      corrupted[pos] = clean[pos] ^ static_cast<std::byte>(flip);
+      ASSERT_FALSE(verify_sample_payload(kSample, corrupted)) << "pos=" << pos << " flip=" << flip;
+    }
+    corrupted[pos] = clean[pos];
+  }
+  EXPECT_TRUE(verify_sample_payload(kSample, corrupted));
+}
+
+TEST(SamplePayload, SwappedWordsWithinALineAndSwappedLinesFail) {
+  constexpr SampleId kSample = 77;
+  const auto clean = make_sample_payload(kSample, 1000);
+  const std::size_t lines = (clean.size() - kHeaderBytes) / kPatternLineBytes;
+  ASSERT_GE(lines, 2U);
+  const auto swapped = [&](std::size_t a, std::size_t b, std::size_t width) {
+    auto payload = clean;
+    std::swap_ranges(payload.begin() + static_cast<std::ptrdiff_t>(a),
+                     payload.begin() + static_cast<std::ptrdiff_t>(a + width),
+                     payload.begin() + static_cast<std::ptrdiff_t>(b));
+    return payload;
+  };
+  for (std::size_t line = 0; line < lines; ++line) {
+    const std::size_t base = kHeaderBytes + line * kPatternLineBytes;
+    for (std::size_t a = 0; a < kPatternLineBytes; a += kPatternWordBytes) {
+      for (std::size_t b = a + kPatternWordBytes; b < kPatternLineBytes; b += kPatternWordBytes) {
+        EXPECT_FALSE(verify_sample_payload(
+            kSample, swapped(base + a, base + b, kPatternWordBytes)))
+            << "line " << line << " words " << a / 8 << "," << b / 8;
+      }
+    }
+  }
+  for (std::size_t a = 0; a < lines; ++a) {
+    for (std::size_t b = a + 1; b < lines; ++b) {
+      EXPECT_FALSE(verify_sample_payload(
+          kSample, swapped(kHeaderBytes + a * kPatternLineBytes,
+                           kHeaderBytes + b * kPatternLineBytes, kPatternLineBytes)))
+          << "lines " << a << "," << b;
+    }
+  }
+}
+
+TEST(SamplePayload, TruncatedOrExtendedByUpToALineFails) {
+  constexpr SampleId kSample = 505;
+  constexpr std::size_t kSize = 1000;
+  const auto clean = make_sample_payload(kSample, kSize);
+  for (std::size_t delta = 1; delta <= kPatternLineBytes; ++delta) {
+    SCOPED_TRACE(delta);
+    const std::vector<std::byte> truncated(clean.begin(),
+                                           clean.end() - static_cast<std::ptrdiff_t>(delta));
+    EXPECT_FALSE(verify_sample_payload(kSample, truncated));
+    auto zero_padded = clean;
+    zero_padded.resize(kSize + delta);
+    EXPECT_FALSE(verify_sample_payload(kSample, zero_padded));
+    // The hardest extension: the true pattern continues, only the length
+    // header still says kSize.
+    auto continued = make_sample_payload(kSample, kSize + delta);
+    std::copy(clean.begin(), clean.begin() + kHeaderBytes, continued.begin());
+    EXPECT_FALSE(verify_sample_payload(kSample, continued));
+  }
+}
+
+TEST(SamplePayload, OneSamplesPayloadFailsAsAnother) {
+  for (const std::size_t size : {7UL, 8UL, 15UL, 16UL, 80UL, 1000UL}) {
+    for (SampleId a = 1; a <= 8; ++a) {
+      const auto payload = make_sample_payload(a, size);
+      for (SampleId b = 1; b <= 8; ++b) {
+        if (a == b) continue;
+        EXPECT_FALSE(verify_sample_payload(b, payload)) << a << " as " << b << ", " << size;
+        if (size > kHeaderBytes) {
+          // With the id header rewritten, the pattern alone, keyed on the
+          // id, still tells the samples apart.
+          auto relabeled = payload;
+          std::memcpy(relabeled.data(), &b, sizeof(b));
+          EXPECT_FALSE(verify_sample_payload(b, relabeled)) << a << " relabeled " << b;
+        }
+      }
+    }
+  }
 }
 
 TEST(DistributionManager, ServesHeldSamples) {
