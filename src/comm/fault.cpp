@@ -10,9 +10,12 @@ namespace lobster::comm {
 FaultPlan::FaultPlan(std::uint16_t world_size, std::uint64_t seed)
     : world_size_(world_size),
       specs_(world_size),
-      down_(world_size, false),
-      rng_(derive_seed(seed, 0xFA07ULL)) {
+      down_(world_size, false) {
   if (world_size == 0) throw std::invalid_argument("FaultPlan: world_size must be >= 1");
+  rngs_.reserve(world_size);
+  for (Rank rank = 0; rank < world_size; ++rank) {
+    rngs_.emplace_back(derive_seed(seed, 0xFA07ULL + rank));
+  }
 }
 
 FaultSpec& FaultPlan::spec(Rank rank) {
@@ -89,20 +92,23 @@ FaultPlan::Verdict FaultPlan::on_message(Rank from, Rank to) {
     return verdict;
   }
   const FaultSpec& spec = specs_[from];
-  if (spec.drop_fraction > 0.0 && rng_.uniform() < spec.drop_fraction) {
+  // The sender's own stream: one rank's traffic never shifts the verdicts
+  // another rank's messages draw.
+  Rng& rng = rngs_[from];
+  if (spec.drop_fraction > 0.0 && rng.uniform() < spec.drop_fraction) {
     verdict.drop = true;
     ++dropped_;
     LOBSTER_METRIC_COUNT("fault.dropped_messages", 1);
     return verdict;
   }
-  if (spec.corrupt_fraction > 0.0 && rng_.uniform() < spec.corrupt_fraction) {
+  if (spec.corrupt_fraction > 0.0 && rng.uniform() < spec.corrupt_fraction) {
     verdict.corrupt = true;
     ++corrupted_;
     LOBSTER_METRIC_COUNT("fault.corrupted_messages", 1);
   }
   if (spec.delay_s > 0.0 || spec.delay_jitter_s > 0.0) {
     verdict.delay_s = spec.delay_s;
-    if (spec.delay_jitter_s > 0.0) verdict.delay_s += rng_.uniform(0.0, spec.delay_jitter_s);
+    if (spec.delay_jitter_s > 0.0) verdict.delay_s += rng.uniform(0.0, spec.delay_jitter_s);
     ++delayed_;
     LOBSTER_METRIC_COUNT("fault.delayed_messages", 1);
   }

@@ -20,7 +20,10 @@
 //
 // Thread-safety: fully thread-safe. The bus queries verdicts under its own
 // lock while harness threads kill/revive nodes and advance the iteration
-// clock; a small internal mutex serializes the RNG and counters.
+// clock; a small internal mutex serializes the RNG streams and counters.
+// Drop, corrupt and jitter verdicts draw from one stream per *sending*
+// rank (derive_seed(seed, 0xFA07 + rank)), so how often one rank sends
+// never changes which of another rank's messages are hit.
 #pragma once
 
 #include <cstdint>
@@ -119,7 +122,7 @@ class FaultPlan {
   std::vector<FaultSpec> specs_;
   std::vector<bool> down_;
   IterId clock_ = 0;  ///< last on_iteration value (drives capacity_scale)
-  Rng rng_;
+  std::vector<Rng> rngs_;  ///< verdict stream per sending rank
   std::uint64_t dropped_ = 0;
   std::uint64_t delayed_ = 0;
   std::uint64_t corrupted_ = 0;

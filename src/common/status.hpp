@@ -7,9 +7,9 @@
 // distinction. `Status` carries a machine-checkable cause plus an optional
 // human detail string; `Result<T>` couples it with a value so callers write
 //
-//   auto fetched = manager.fetch_remote(sample, holder);
-//   if (!fetched.ok()) {
-//     if (fetched.status().code() == StatusCode::kPeerDown) ...reroute...
+//   auto results = manager.fetch_remote_many(holder, samples, iter);
+//   if (!results[i].ok()) {
+//     if (results[i].status().code() == StatusCode::kPeerDown) ...reroute...
 //   }
 //
 // Conventions:

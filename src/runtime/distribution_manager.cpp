@@ -418,9 +418,8 @@ std::vector<Result<PayloadView>> DistributionManager::fetch_remote_many(
   if (breaker_open(holder)) {
     return std::vector<Result<PayloadView>>(samples.size(), fast_fail(holder, samples.front()));
   }
-  // One root span per batch round (arg = holder, arg2 = iter). It closes
-  // before this returns, so per-sample fallback fetches the caller issues
-  // afterwards root their own kFetch trees.
+  // One span per batch round (arg = holder, arg2 = iter): a child of the
+  // caller's span, so the executor's re-route rounds share one tree.
   telemetry::Span multi(telemetry::SpanKind::kMultiGet, endpoint_.rank(), holder);
   multi.set_arg2(iter);
   return fetch_round(holder, samples, while_waiting);

@@ -7,9 +7,9 @@
 //
 // One DistributionManager runs per node over the comm bus: a server thread
 // answers peers' inventory and multi-get requests from the node's local
-// store. Every sample fetch, one sample (fetch_remote) or many
-// (fetch_remote_many), is the same request/reply round: one multi-get
-// envelope per attempt. Sample payloads are synthesized deterministically
+// store. Every sample fetch, many samples (fetch_remote_many, the one the
+// executor uses) or one (fetch_remote), is the same request/reply round:
+// one multi-get envelope per attempt. Sample payloads are synthesized deterministically
 // from the sample id, so receivers can verify integrity end to end.
 //
 // Fault tolerance (DESIGN.md §9): the round is deadline-based — each
@@ -160,7 +160,9 @@ class DistributionManager {
 
   /// Fetch of `sample` from `holder`'s cache: the multi-get round with one
   /// id (its kAttempt spans carry arg = batch size 1), traced under the
-  /// caller's span, with the payload copied out. Failure causes:
+  /// caller's span, with the payload copied out. The runtime itself fetches
+  /// through fetch_remote_many only; this single-sample form serves
+  /// microbenchmarks and tests. Failure causes:
   ///   kNotFound  — the peer answered: it no longer holds the sample
   ///                (raced with an eviction); authoritative, do not retry;
   ///   kTimeout   — no reply within the retry budget (peer slow or dead);
@@ -182,11 +184,11 @@ class DistributionManager {
   ///               to every sample in the batch.
   /// Results align index-for-index with `samples`. A successful result is a
   /// view of the reply, verified in place where it came off the wire: the
-  /// caller neither copies nor re-verifies it. The batch
-  /// round is traced as its own kMultiGet root span (arg = holder,
-  /// arg2 = iter), closed before this returns — per-sample fallback fetches
-  /// a caller issues afterwards root their own kFetch trees as usual. The
-  /// open-breaker fast-fail happens before, outside that span.
+  /// caller neither copies nor re-verifies it. The round is traced as a
+  /// kMultiGet span (arg = holder, arg2 = iter): a child of the caller's
+  /// current span (the executor's per-batch kFetch root), or a root when
+  /// called outside any span. The open-breaker fast-fail happens before,
+  /// outside that span, as a kBreakerFastFail instant under the caller's.
   /// `while_waiting`, when set, runs once on the calling thread after the
   /// first envelope is sent and before its reply is awaited, so the caller's
   /// local work overlaps the holder's serve. It runs inside the batch's

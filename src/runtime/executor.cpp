@@ -1,6 +1,7 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -9,7 +10,6 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "cache/namespace.hpp"
@@ -56,20 +56,18 @@ bool PlanExecutor::has_sample(SampleId sample) const { return store_.contains(sa
 std::unordered_set<SampleId> PlanExecutor::resident_samples() const { return store_.snapshot(); }
 
 void PlanExecutor::drain_chunk(const SampleId* first, const SampleId* last, IterId iter,
-                               GpuAccounting& accounting, std::vector<LoadRequest>& misses) {
-  const FetchTier tier = miss_tier();
+                               GpuAccounting& accounting, std::vector<SampleId>& misses) {
   misses.clear();
   Bytes local_bytes = 0;
   for (const SampleId* it = first; it != last; ++it) {
-    const Bytes bytes = catalog_.sample_bytes(*it);
     // Resident: pure accounting, with telemetry batched below so the warm
     // drain pays one metric-gate check per chunk instead of per sample.
     if (store_.contains(*it)) {
-      local_bytes += bytes;
+      local_bytes += catalog_.sample_bytes(*it);
       ++accounting.local_hits;
       continue;
     }
-    misses.push_back(LoadRequest{*it, bytes, tier, iter});
+    misses.push_back(*it);
   }
   accounting.local_bytes += local_bytes;
   if (local_bytes > 0) {
@@ -78,275 +76,210 @@ void PlanExecutor::drain_chunk(const SampleId* first, const SampleId* last, Iter
   }
   // Misses coalesce: one multi-get envelope per holder and batched PFS
   // materialization instead of a round-trip (and a heap payload) per sample.
-  if (!misses.empty()) execute_batch(misses, accounting);
+  if (!misses.empty()) {
+    execute_batch(misses.data(), misses.data() + misses.size(), iter, accounting);
+  }
   accounting.claimed += static_cast<std::uint32_t>(last - first);
 }
 
-void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& accounting) {
-  const Bytes size = request.bytes;
-  // Root of this request's causal trace (DESIGN.md §11): every attempt,
-  // backoff, detour, serve (on the holder's rank) and PFS fallback below
-  // becomes a child span. arg = sample, arg2 = iteration, so the analyzer
-  // can group degraded fetches per iteration. Local hits never get here:
-  // drain_chunk accounts them inline, untraced.
-  telemetry::Span fetch(telemetry::SpanKind::kFetch, config_.node, request.sample);
-  fetch.set_arg2(request.iter);
-
+void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, IterId iter,
+                                 GpuAccounting& accounting) {
   // Multi-tenant runs address the shared KV tier and directory with keys
   // namespaced to the job's dataset (namespace 0 leaves the key untouched,
   // so single-job runs are byte-identical). The manager's peer fetches stay
   // in raw sample space: peers serve their own job's samples.
-  const SampleId key = job_.ns == 0 ? request.sample
-                                    : cache::make_namespaced_key(job_.ns, request.sample);
-  cache::KvStore::PayloadPtr payload;
-  if (request.tier == FetchTier::kRemote && kv_store_ != nullptr) {
-    auto kv = kv_store_->get(key);  // zero-copy: shared reference
-    if (kv.ok()) {
-      payload = kv.take();
-      if (config_.verify_payloads && !verify_sample_payload(request.sample, *payload)) {
+  const auto tier_key = [this](SampleId sample) {
+    return job_.ns == 0 ? sample : cache::make_namespaced_key(job_.ns, sample);
+  };
+  const auto deliver_remote = [&](SampleId sample, Bytes bytes) {
+    accounting.remote_bytes += bytes;
+    ++accounting.remote_fetches;
+    LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", bytes);
+    LOBSTER_METRIC_COUNT("executor.remote_bytes", bytes);
+    store_.insert(sample);
+  };
+
+  // Partition the batch: KV hits are served inline, misses with a
+  // directory-recorded holder become peer-bound, the rest are cold misses
+  // for the PFS batch.
+  struct PeerMiss {
+    SampleId sample;
+    Bytes bytes;
+    NodeId holder;          ///< where the next envelope asks
+    std::uint64_t exclude;  ///< holders that already failed this sample
+  };
+  std::vector<SampleId> pfs_batch;
+  std::vector<PeerMiss> pending;
+  const bool routed = manager_ != nullptr && directory_ != nullptr;
+  for (const SampleId* it = first; it != last; ++it) {
+    const SampleId sample = *it;
+    const Bytes bytes = catalog_.sample_bytes(sample);
+    const SampleId key = tier_key(sample);
+    if (kv_store_ != nullptr) {
+      auto kv = kv_store_->get(key);  // zero-copy: shared reference
+      if (kv.ok()) {
+        if (!config_.verify_payloads || verify_sample_payload(sample, **kv)) {
+          deliver_remote(sample, bytes);
+          continue;
+        }
         // Corruption quarantine (DESIGN.md §9): evict the bad entry so no
         // other worker is served it, then fall through to a fresh fetch.
         (void)kv_store_->erase(key);
-        payload.reset();
         quarantined_.fetch_add(1, std::memory_order_relaxed);
         LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
         telemetry::EventLog::instance().emit(telemetry::EventKind::kQuarantine,
-                                             config_.node, request.sample, 0, "kv_tier");
+                                             config_.node, sample, 0, "kv_tier");
       }
     }
-  }
-  bool remote_served = payload != nullptr;
-  // Degraded routing (DESIGN.md §9): a holder that times out or trips its
-  // circuit breaker is marked down in the directory — taking it out of
-  // *every* subsequent routing decision, not just this request — and the
-  // fetch detours to the next surviving holder, else falls to the PFS. A
-  // holder that answers with a *corrupt* payload is only excluded from this
-  // request's routing (the manager's strike counter handles repeat
-  // offenders) and the retry goes to the next holder.
-  bool failure_detour = false;
-  if (!remote_served && request.tier == FetchTier::kRemote && manager_ != nullptr &&
-      directory_ != nullptr) {
-    // O(1) routing: ask the directory-recorded holder, nobody else. (The
-    // old directory-less fallback — polling every peer in rank order — is
-    // gone: without a residency map a "remote" request goes straight to the
-    // KV tier above and then the PFS below.)
-    std::uint64_t exclude_mask = 0;
-    NodeId holder = directory_->peer_holder(key, config_.node, exclude_mask);
-    while (holder != cache::CacheDirectory::kInvalidNode) {
-      // fetch_remote verifies the bytes inside its round; an ok result is
-      // delivered as is.
-      const auto fetched = manager_->fetch_remote(request.sample, holder);
-      if (fetched.ok()) {
-        remote_served = true;
-        break;
-      }
-      const StatusCode cause = fetched.status().code();
-      if (cause == StatusCode::kTimeout || cause == StatusCode::kPeerDown) {
-        directory_->mark_node_down(holder);
-        failure_detour = true;
-        LOBSTER_METRIC_COUNT("executor.peer_down_reroutes", 1);
-        telemetry::EventLog::instance().emit(telemetry::EventKind::kNodeDown, holder,
-                                             request.sample, request.iter);
-        holder = directory_->peer_holder(key, config_.node, exclude_mask);
-        telemetry::Span::instant(telemetry::SpanKind::kDetour, config_.node,
-                                 request.sample, holder);
-        continue;  // next surviving holder (or kInvalidNode -> PFS)
-      }
-      if (cause == StatusCode::kCorrupt) {
-        quarantined_.fetch_add(1, std::memory_order_relaxed);
-        LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
-        LOBSTER_METRIC_COUNT("executor.corrupt_reroutes", 1);
-        telemetry::EventLog::instance().emit(telemetry::EventKind::kQuarantine,
-                                             holder, request.sample, request.iter,
-                                             "corrupt_reply");
-        failure_detour = true;
-        exclude_mask |= 1ULL << holder;
-        holder = directory_->peer_holder(key, config_.node, exclude_mask);
-        telemetry::Span::instant(telemetry::SpanKind::kDetour, config_.node,
-                                 request.sample, holder);
-        continue;  // next holder with a (hopefully) clean copy
-      }
-      break;  // authoritative miss / shutdown: PFS fallback
-    }
-  }
-  if (failure_detour) {
-    ++accounting.degraded_fetches;
-    LOBSTER_METRIC_COUNT("executor.degraded_fetches", 1);
-  }
-  if (remote_served) {
-    accounting.remote_bytes += size;
-    ++accounting.remote_fetches;
-    LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", size);
-    LOBSTER_METRIC_COUNT("executor.remote_bytes", size);
-  } else {
-    // PFS path: materialize the sample content locally (by construction
-    // this payload verifies — it is the same generator the check uses).
-    // Arena-backed: the hot materialize path recycles buffers instead of
-    // touching the global heap (common/payload_arena.hpp).
-    telemetry::Span pfs(telemetry::SpanKind::kPfsFallback, config_.node, request.sample);
-    pfs.set_arg2(request.iter);
-    payload = make_sample_payload_shared(request.sample, size);
-    accounting.pfs_bytes += size;
-    ++accounting.pfs_fetches;
-    LOBSTER_TRACE_INSTANT(kExecutor, "fetch_pfs", size);
-    LOBSTER_METRIC_COUNT("executor.pfs_bytes", size);
-  }
-
-  store_.insert(request.sample);
-  if (kv_store_ != nullptr && !remote_served) {
-    // Best-effort publication: a capacity-bounded store may refuse (the
-    // sample is still delivered locally either way). Only verified payloads
-    // reach this point, so the KV tier never redistributes garbage.
-    (void)kv_store_->put(key, std::move(payload));
-  }
-}
-
-void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
-                                 GpuAccounting& accounting) {
-  // Partition the drained chunk: KV hits are served inline; remote misses
-  // group per directory-recorded holder for ONE multi-get envelope each;
-  // cold misses batch-materialize from the PFS. Anything that needs the
-  // full degraded-routing state machine goes through execute_request.
-  std::vector<const LoadRequest*> pfs_batch;
-  std::vector<const LoadRequest*> fallback;
-  std::unordered_map<NodeId, std::vector<const LoadRequest*>> groups;
-
-  for (const auto& request : requests) {
-    if (request.tier != FetchTier::kRemote) {
-      pfs_batch.push_back(&request);
-      continue;
-    }
-    const SampleId key = job_.ns == 0 ? request.sample
-                                      : cache::make_namespaced_key(job_.ns, request.sample);
-    if (kv_store_ != nullptr) {
-      auto kv = kv_store_->get(key);
-      if (kv.ok()) {
-        auto payload = kv.take();
-        if (!config_.verify_payloads || verify_sample_payload(request.sample, *payload)) {
-          accounting.remote_bytes += request.bytes;
-          ++accounting.remote_fetches;
-          LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", request.bytes);
-          LOBSTER_METRIC_COUNT("executor.remote_bytes", request.bytes);
-          store_.insert(request.sample);
-          continue;
-        }
-        // Corruption quarantine, same as the single path: evict the bad
-        // entry and fall through to a fresh remote/PFS fetch.
-        (void)kv_store_->erase(key);
-        quarantined_.fetch_add(1, std::memory_order_relaxed);
-        LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
-        telemetry::EventLog::instance().emit(telemetry::EventKind::kQuarantine,
-                                             config_.node, request.sample, 0, "kv_tier");
-      }
-    }
-    if (manager_ == nullptr || directory_ == nullptr) {
-      // No peer routing wired: a remote miss goes straight to the PFS,
-      // exactly as in execute_request.
-      pfs_batch.push_back(&request);
-      continue;
-    }
-    const NodeId holder = directory_->peer_holder(key, config_.node, 0);
+    // Without peer routing wired, a miss goes straight to the PFS.
+    const NodeId holder = routed ? directory_->peer_holder(key, config_.node, 0)
+                                 : cache::CacheDirectory::kInvalidNode;
     if (holder == cache::CacheDirectory::kInvalidNode) {
-      pfs_batch.push_back(&request);
-      continue;
+      pfs_batch.push_back(sample);
+    } else {
+      pending.push_back(PeerMiss{sample, bytes, holder, 0});
     }
-    if (manager_->breaker_open(holder)) {
-      // Known-down holder: the single path's fast-fail -> detour machinery
-      // handles it (and counts the degradation).
-      fallback.push_back(&request);
-      continue;
-    }
-    groups[holder].push_back(&request);
   }
 
   // Batched cold path: materialize straight into arena-backed buffers and
-  // publish — no span bookkeeping, no per-sample heap traffic. It runs
-  // while each multi-get below waits on its holder, so local PFS work
-  // overlaps the holder's serve, and once more at the end for the rest.
+  // publish. It runs while each multi-get below waits on its holder, so
+  // local PFS work overlaps the holder's serve, and once more at the end
+  // for the samples the rounds sent to the PFS.
   std::size_t pfs_done = 0;
   const auto materialize_pending = [&] {
     for (; pfs_done < pfs_batch.size(); ++pfs_done) {
-      const LoadRequest& request = *pfs_batch[pfs_done];
-      auto payload = make_sample_payload_shared(request.sample, request.bytes);
-      accounting.pfs_bytes += request.bytes;
+      const SampleId sample = pfs_batch[pfs_done];
+      const Bytes bytes = catalog_.sample_bytes(sample);
+      auto payload = make_sample_payload_shared(sample, bytes);
+      accounting.pfs_bytes += bytes;
       ++accounting.pfs_fetches;
-      LOBSTER_TRACE_INSTANT(kExecutor, "fetch_pfs", request.bytes);
-      LOBSTER_METRIC_COUNT("executor.pfs_bytes", request.bytes);
-      store_.insert(request.sample);
-      if (kv_store_ != nullptr) {
-        const SampleId key = job_.ns == 0
-                                 ? request.sample
-                                 : cache::make_namespaced_key(job_.ns, request.sample);
-        (void)kv_store_->put(key, std::move(payload));
-      }
+      LOBSTER_TRACE_INSTANT(kExecutor, "fetch_pfs", bytes);
+      LOBSTER_METRIC_COUNT("executor.pfs_bytes", bytes);
+      store_.insert(sample);
+      // Best-effort publication: a capacity-bounded store may refuse (the
+      // sample is still delivered locally either way).
+      if (kv_store_ != nullptr) (void)kv_store_->put(tier_key(sample), std::move(payload));
     }
   };
+  if (pending.empty()) {
+    materialize_pending();
+    return;
+  }
+
+  // One causal tree per batch that reaches a peer (DESIGN.md §11): every
+  // envelope, fast-fail and detour below is a child of this root, so a
+  // sample's whole life, re-routes included, is one trace.
+  // arg = samples routed to peers, arg2 = iteration.
+  telemetry::Span fetch(telemetry::SpanKind::kFetch, config_.node, pending.size());
+  fetch.set_arg2(iter);
   // Wrapped by reference: the std::function stays allocation-free.
   const std::function<void()> while_waiting(std::cref(materialize_pending));
 
-  // One multi-get envelope per holder slice: consecutive samples whose
-  // framed reply fits one arena class, so no reply becomes an oversize heap
-  // block. Per-sample failures keep the full single-fetch vocabulary and
-  // drop to execute_request, which roots its own kFetch trace (the batch's
-  // kMultiGet span is already closed by then).
+  // Re-route rounds. Each round sends one multi-get envelope per holder
+  // slice: consecutive samples whose framed reply fits one arena class, so
+  // no reply becomes an oversize heap block. A sample that fails on a holder
+  // adds it to its exclude mask and, once the round's envelopes are all
+  // back, moves on to its next holder, or to the PFS when none is left.
+  // Masks only grow, so the rounds end (at most one per cluster node).
+  bool rerouted = false;
+  std::vector<PeerMiss> failed;
   std::vector<SampleId> ids;
-  for (auto& [holder, group] : groups) {
-    for (std::size_t begin = 0, end = 0; begin < group.size(); begin = end) {
+  while (!pending.empty()) {
+    // Holders go out in order of first appearance. Chunks are shuffled, so
+    // concurrent drain tasks spread over the holders' server threads
+    // instead of all queueing on the lowest rank first.
+    std::array<std::uint8_t, 64> turn{};
+    std::uint64_t seen = 0;
+    std::uint8_t turns = 0;
+    for (const PeerMiss& miss : pending) {
+      if ((seen >> miss.holder & 1) == 0) {
+        seen |= 1ULL << miss.holder;
+        turn[miss.holder] = turns++;
+      }
+    }
+    std::stable_sort(pending.begin(), pending.end(), [&turn](const PeerMiss& a, const PeerMiss& b) {
+      return turn[a.holder] < turn[b.holder];
+    });
+    for (std::size_t begin = 0, end = 0; begin < pending.size(); begin = end) {
+      const NodeId holder = pending[begin].holder;
       std::size_t reply_bytes = DistributionManager::kMultiGetReplyHeaderBytes;
-      for (end = begin; end < group.size(); ++end) {
-        reply_bytes += DistributionManager::kMultiGetReplySampleBytes + group[end]->bytes;
+      for (end = begin; end < pending.size() && pending[end].holder == holder; ++end) {
+        reply_bytes += DistributionManager::kMultiGetReplySampleBytes + pending[end].bytes;
         if (end > begin && reply_bytes > PayloadArena::kMaxClassBytes) break;
       }
-      if (end - begin < 2) {
-        // A singleton slice (a lone holder miss, or one sample over the
-        // bound) gains nothing over the single-fetch path, and that path
-        // keeps its richer per-sample trace tree.
-        fallback.push_back(group[begin]);
-        continue;
-      }
       ids.clear();
-      for (std::size_t i = begin; i < end; ++i) ids.push_back(group[i]->sample);
-      const auto results =
-          manager_->fetch_remote_many(holder, ids, group[begin]->iter, while_waiting);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        const LoadRequest& request = *group[begin + i];
-        const auto& result = results[i];
+      for (std::size_t i = begin; i < end; ++i) ids.push_back(pending[i].sample);
+      // An open breaker fast-fails the whole envelope with kPeerDown.
+      const auto results = manager_->fetch_remote_many(holder, ids, iter, while_waiting);
+      const StatusCode envelope = results.front().status().code();
+      if (envelope == StatusCode::kTimeout || envelope == StatusCode::kPeerDown) {
+        // Degraded routing (DESIGN.md §9): a timeout or peer-down fails the
+        // whole envelope, and the holder leaves *every* later routing
+        // decision, not just this batch's.
+        directory_->mark_node_down(holder);
+        telemetry::EventLog::instance().emit(telemetry::EventKind::kNodeDown, holder,
+                                             ids.front(), iter);
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        PeerMiss& miss = pending[i];
+        const auto& result = results[i - begin];
         if (result.ok()) {
           // Verified in place where it came off the wire: delivered as is.
-          accounting.remote_bytes += request.bytes;
-          ++accounting.remote_fetches;
-          LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", request.bytes);
-          LOBSTER_METRIC_COUNT("executor.remote_bytes", request.bytes);
-          store_.insert(request.sample);
+          deliver_remote(miss.sample, miss.bytes);
           continue;
         }
         const StatusCode cause = result.status().code();
-        if (cause == StatusCode::kNotFound) {
-          // Authoritative miss from a live holder: the single path would
-          // only ask the same holder again before falling to the PFS.
-          pfs_batch.push_back(&request);
-          continue;
-        }
-        if (cause == StatusCode::kCorrupt) {
-          // The batched reply carried garbage for this sample: quarantine
-          // it (never delivered) and re-route via the single path, whose
-          // routing excludes repeat offenders through the manager's strike
-          // counter.
+        if (cause == StatusCode::kTimeout || cause == StatusCode::kPeerDown) {
+          LOBSTER_METRIC_COUNT("executor.peer_down_reroutes", 1);
+        } else if (cause == StatusCode::kCorrupt) {
+          // Quarantined (never delivered); the manager's strike counter
+          // fences off a holder that keeps doing it.
           quarantined_.fetch_add(1, std::memory_order_relaxed);
           LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
           LOBSTER_METRIC_COUNT("executor.corrupt_reroutes", 1);
           telemetry::EventLog::instance().emit(telemetry::EventKind::kQuarantine, holder,
-                                               request.sample, request.iter,
-                                               "corrupt_reply");
+                                               miss.sample, iter, "corrupt_reply");
+        } else {
+          // Authoritative not-found from a live holder, or shutdown: asking
+          // again would only repeat the answer.
+          pfs_batch.push_back(miss.sample);
+          continue;
         }
-        // Timeout / peer-down / shutdown: the single path applies
-        // mark-node-down, detours, and the PFS fallback per sample.
-        fallback.push_back(&request);
+        if (miss.exclude == 0) {  // first failed holder: degraded, once
+          ++accounting.degraded_fetches;
+          LOBSTER_METRIC_COUNT("executor.degraded_fetches", 1);
+        }
+        miss.exclude |= 1ULL << holder;
+        failed.push_back(miss);
       }
     }
+    // Route after the whole round, so a holder marked down by any of its
+    // envelopes is skipped. A detour (arg2 = next holder, or kInvalidNode
+    // for the PFS) precedes the attempts of the round it opens.
+    pending.clear();
+    for (PeerMiss& miss : failed) {
+      rerouted = true;
+      miss.holder = directory_->peer_holder(tier_key(miss.sample), config_.node, miss.exclude);
+      telemetry::Span::instant(telemetry::SpanKind::kDetour, config_.node, miss.sample,
+                               miss.holder);
+      if (miss.holder == cache::CacheDirectory::kInvalidNode) {
+        pfs_batch.push_back(miss.sample);
+      } else {
+        pending.push_back(miss);
+      }
+    }
+    failed.clear();
   }
 
-  for (const LoadRequest* request : fallback) execute_request(*request, accounting);
+  if (!rerouted) {
+    materialize_pending();
+    return;
+  }
+  // The closing materialize carries the samples the rounds gave up on.
+  // arg = samples left to materialize, arg2 = iteration.
+  telemetry::Span pfs(telemetry::SpanKind::kPfsFallback, config_.node,
+                      pfs_batch.size() - pfs_done);
+  pfs.set_arg2(iter);
   materialize_pending();
 }
 
@@ -498,7 +431,7 @@ ExecutionReport PlanExecutor::run() {
           futures.push_back(loading_pool.submit(
               [this, home, gpus, iter, &spans, &accounting, &merge_mutex] {
                 std::vector<GpuAccounting> local(gpus);
-                std::vector<LoadRequest> misses;
+                std::vector<SampleId> misses;
                 for (std::uint16_t k = 0; k < gpus; ++k) {
                   const auto g = static_cast<GpuId>((home + k) % gpus);
                   ClaimSpan& span = spans[g];
@@ -613,13 +546,8 @@ ExecutionReport PlanExecutor::run() {
       const SampleId* last = first + std::min(kClaimChunk, prefetches.size() - begin);
       prefetch_futures.push_back(
           loading_pool.submit([this, first, last, iter = iteration.iter] {
-            std::vector<LoadRequest> requests;
-            requests.reserve(static_cast<std::size_t>(last - first));
-            for (const SampleId* it = first; it != last; ++it) {
-              requests.push_back(LoadRequest{*it, catalog_.sample_bytes(*it), miss_tier(), iter});
-            }
             GpuAccounting background;
-            execute_batch(requests, background);
+            execute_batch(first, last, iter, background);
           }));
     }
 

@@ -16,11 +16,13 @@
 // out twice and exactly-once holds by construction. The resident-sample set
 // is striped (no global store mutex), accounting is worker-local and merged
 // once per task, and remote misses are routed to the directory-recorded
-// holder in O(1). Plan prefetches are not per-sample tasks: they are cut
-// into the same 32-sample chunks and each chunk runs the drain's batched
-// miss path (multi-get envelopes per holder, batched PFS materialize
-// overlapping the holder's serve) on the loading pool, overlapped with the
-// next iteration's enqueue.
+// holder in O(1). Every miss takes one path, execute_batch: multi-get
+// envelopes per holder, batched PFS materialize overlapping the holder's
+// serve, and re-route rounds (next holder, else the PFS) for samples whose
+// holder timed out, was down or sent corrupt bytes. Plan prefetches are not
+// per-sample tasks: they are cut into the same 32-sample chunks and each
+// chunk runs that path on the loading pool, overlapped with the next
+// iteration's enqueue.
 //
 // Stage timings are *accounted* in virtual time (bytes / tier rate) rather
 // than slept, so executor tests run in milliseconds; the performance story
@@ -119,8 +121,9 @@ struct IterationExecution {
   std::uint32_t local_hits = 0;
   std::uint32_t remote_fetches = 0;
   std::uint32_t pfs_fetches = 0;
-  /// Requests that hit a dead/unreachable holder and were re-routed (to a
-  /// surviving holder or the PFS) instead of failing.
+  /// Samples whose holder timed out, was down or sent corrupt bytes, and
+  /// that were re-routed (to another holder or the PFS) instead of failing;
+  /// each counts once however many holders it tries.
   std::uint32_t degraded_fetches = 0;
   Seconds virtual_load = 0.0;     ///< modeled max per-GPU loading time
   Seconds virtual_preproc = 0.0;  ///< modeled max per-GPU preprocessing time
@@ -145,7 +148,7 @@ struct ExecutionReport {
   std::uint64_t duplicate_deliveries = 0;
   std::uint64_t lost_deliveries = 0;
   std::uint64_t spilled_requests = 0;   ///< always 0 (see IterationExecution)
-  std::uint64_t degraded_fetches = 0;   ///< re-routed around a dead peer
+  std::uint64_t degraded_fetches = 0;   ///< re-routed off a failed holder, once each
   /// Payloads that failed verification and were intercepted (KV entry
   /// evicted / corrupt reply re-routed / re-materialized from the PFS).
   /// Recoverable by design, so not part of clean().
@@ -216,23 +219,6 @@ class PlanExecutor {
   bool has_sample(SampleId sample) const;
 
  private:
-  /// Where a non-resident sample is fetched from: the remote tier (KV store,
-  /// then the directory-recorded peer) when one is wired, else the PFS.
-  enum class FetchTier : std::uint8_t { kRemote, kPfs };
-
-  FetchTier miss_tier() const noexcept {
-    return manager_ != nullptr || kv_store_ != nullptr ? FetchTier::kRemote : FetchTier::kPfs;
-  }
-
-  /// One non-local fetch: a demand sample a drain worker found non-resident,
-  /// or a plan prefetch.
-  struct LoadRequest {
-    SampleId sample = kInvalidSample;
-    Bytes bytes = 0;
-    FetchTier tier = FetchTier::kPfs;
-    IterId iter = 0;
-  };
-
   struct GpuAccounting {
     std::uint64_t local_bytes = 0;
     std::uint64_t remote_bytes = 0;
@@ -256,25 +242,28 @@ class PlanExecutor {
   };
 
   /// Delivers one claimed chunk of a GPU's span: resident samples are
-  /// local hits accounted inline; the rest are classified into `misses` and
+  /// local hits accounted inline; the rest are collected into `misses` and
   /// fetched through execute_batch. Everything lands in `accounting`, the
   /// chunk owner's slot.
   void drain_chunk(const SampleId* first, const SampleId* last, IterId iter,
-                   GpuAccounting& accounting, std::vector<LoadRequest>& misses);
+                   GpuAccounting& accounting, std::vector<SampleId>& misses);
 
-  void execute_request(const LoadRequest& request, GpuAccounting& accounting);
-
-  /// Batched miss handling for one drained chunk or prefetch chunk
-  /// (DESIGN.md §8): probes the KV tier per sample, then coalesces remote
-  /// misses into multi-get envelopes per holder
-  /// (DistributionManager::fetch_remote_many), each sized so its reply fits
-  /// one arena class, and batch-materializes cold misses from the PFS into
-  /// arena-backed buffers while those envelopes wait on their holders.
-  /// Traced and untraced runs take the same branches. An authoritative
-  /// not-found goes straight to the PFS batch; other per-sample failures
-  /// (and singleton holder slices) fall back to execute_request, which
-  /// roots a kFetch span tree for each of them.
-  void execute_batch(const std::vector<LoadRequest>& requests, GpuAccounting& accounting);
+  /// The one miss path (DESIGN.md §8, §9), for a drained chunk's misses or
+  /// a prefetch chunk, all of iteration `iter`: probes the KV tier per
+  /// sample, batch-materializes cold misses from the PFS, and sends the
+  /// samples with a directory-recorded holder out in re-route rounds. Each
+  /// round sends one multi-get envelope (DistributionManager::
+  /// fetch_remote_many) per holder slice, sized so its reply fits one arena
+  /// class, and the PFS work runs while each envelope waits on its holder.
+  /// A timeout or peer-down marks the holder down, a corrupt sample is
+  /// quarantined; either way the holder joins that sample's exclude mask
+  /// and the sample moves to its next holder, or to the PFS when none is
+  /// left, and counts as degraded once. A not-found or shutdown goes
+  /// straight to the PFS. A batch that routes any sample to a peer roots
+  /// one kFetch span tree (DESIGN.md §11). Traced and untraced runs take
+  /// the same branches.
+  void execute_batch(const SampleId* first, const SampleId* last, IterId iter,
+                     GpuAccounting& accounting);
 
   ExecutorConfig config_;
   const data::SampleCatalog& catalog_;

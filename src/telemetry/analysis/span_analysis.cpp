@@ -202,6 +202,24 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
       }
     }
 
+    // Stitched: the re-route reached a peer and the peer's serve parents
+    // on it. Some attempt begun after the first detour must own a serve
+    // child on another rank; merely touching two ranks is true of every
+    // batch that reached a peer.
+    if (first_detour_us != ~0ULL) {
+      std::unordered_map<std::string, std::uint16_t> rerouted_attempts;  // span -> rank
+      for (const auto* span : members) {
+        if (span->kind == "attempt" && span->begin_us >= first_detour_us) {
+          rerouted_attempts.emplace(span->span, span->rank);
+        }
+      }
+      for (const auto* span : members) {
+        if (span->kind != "serve") continue;
+        const auto it = rerouted_attempts.find(span->parent);
+        if (it != rerouted_attempts.end() && it->second != span->rank) summary.stitched = true;
+      }
+    }
+
     if (summary.root_kind == "fetch") {
       ++analysis.fetch_traces;
       if (summary.degraded) {
@@ -212,16 +230,7 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
         auto& slot = iter_intervals[summary.iter];
         slot.insert(slot.end(), wasted.begin(), wasted.end());
       }
-      if (summary.ranks >= 2) ++analysis.cross_rank_fetches;
-    } else if (summary.root_kind == "multi_get" && summary.degraded) {
-      // Batched multi-get rounds (root arg = holder, arg2 = iter): their
-      // failed attempts and backoffs are real wall-clock waste inside the
-      // iteration, so they feed the attribution union — but they are not
-      // fetch traces. Per-sample fallbacks the executor issues afterwards
-      // root their own kFetch trees and are counted above.
-      analysis.timeout_us += summary.timeout_us;
-      auto& slot = iter_intervals[summary.iter];
-      slot.insert(slot.end(), wasted.begin(), wasted.end());
+      if (summary.stitched) ++analysis.cross_rank_fetches;
     }
     if (!summary.well_formed) ++analysis.malformed_traces;
     analysis.traces.push_back(std::move(summary));
@@ -295,7 +304,7 @@ Table slowest_traces_table(const SpanAnalysis& analysis,
   std::unordered_map<std::string, std::vector<const LoadedSpan*>> by_trace;
   for (const auto& span : spans) by_trace[span.trace].push_back(&span);
 
-  Table table({"trace", "sample", "iter", "rank", "ms", "degraded", "path"});
+  Table table({"trace", "routed", "iter", "rank", "ms", "degraded", "path"});
   for (const auto* trace : fetches) {
     auto members = by_trace[trace->trace_id];
     std::sort(members.begin(), members.end(),

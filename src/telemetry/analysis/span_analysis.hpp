@@ -6,10 +6,12 @@
 // classification, and a per-trace attribution of where the wasted time
 // went: timed-out attempts + retry backoff ("timeout"), post-detour
 // attempts on substitute holders ("detour"), and PFS re-materialization
-// ("pfs"). Degraded roots are grouped by iteration (root arg2) and their
-// wasted intervals are merged as a UNION per iteration — concurrent worker
-// timeouts overlap in wall time, so summing durations would overcount the
-// slowdown actually visible at the barrier.
+// ("pfs"). A degraded trace is *stitched* when an attempt begun after its
+// first detour has a serve child on another rank. Degraded roots are
+// grouped by iteration (root arg2) and their wasted intervals are merged
+// as a UNION per iteration — concurrent worker timeouts overlap in wall
+// time, so summing durations would overcount the slowdown actually visible
+// at the barrier.
 //
 // Ids stay exact: the JSON parser holds numbers as doubles, so spans are
 // keyed by their hex-string ids end to end.
@@ -56,12 +58,16 @@ struct TraceSummary {
   std::string trace_id;
   std::string root_kind;     ///< "" when the trace has no root (malformed)
   std::uint16_t root_rank = 0;
-  std::uint64_t sample = 0;  ///< root arg
+  std::uint64_t sample = 0;  ///< root arg (a kFetch root: samples routed to peers)
   std::uint64_t iter = 0;    ///< root arg2
   std::size_t spans = 0;
   std::size_t ranks = 0;     ///< distinct ranks touched
   bool well_formed = false;  ///< one root, all parents resolve in-trace
   bool degraded = false;     ///< any failed attempt / detour / fallback / fast-fail
+  /// An attempt begun at or after the first detour has a serve child on
+  /// another rank: the re-route's request crossed ranks and the holder's
+  /// handler span parents on it.
+  bool stitched = false;
   double duration_us = 0.0;  ///< root span duration
   double timeout_us = 0.0;   ///< failed attempts + backoff sleeps
   double detour_us = 0.0;    ///< attempts issued after the first detour
@@ -76,7 +82,7 @@ struct SpanAnalysis {
   std::size_t total_spans = 0;
   std::size_t fetch_traces = 0;      ///< traces rooted in a "fetch" span
   std::size_t degraded_fetches = 0;
-  std::size_t cross_rank_fetches = 0;
+  std::size_t cross_rank_fetches = 0;  ///< fetch traces that are stitched
   std::size_t malformed_traces = 0;
   /// Attribution totals over degraded fetch traces (sums of per-trace
   /// buckets — overlap-blind; use iteration_overhead_us for wall impact).

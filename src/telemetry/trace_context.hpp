@@ -7,9 +7,9 @@
 // causal layer ties them together:
 //
 //  * TraceContext — a (trace_id, span_id, parent_span_id) triple. Every
-//    remote fetch roots a fresh trace; every attempt, retry backoff,
-//    breaker fast-fail, holder detour and PFS fallback opens a child span
-//    of the thread's current context.
+//    executor batch that reaches a peer roots a fresh trace; every
+//    envelope, attempt, retry backoff, breaker fast-fail, holder detour
+//    and PFS fallback opens a child span of the thread's current context.
 //  * Propagation — the thread-current context is carried in a TLS slot
 //    (Span installs itself on construction, restores on destruction) and
 //    stamped into every comm::Message the thread sends, so the serving
@@ -56,7 +56,8 @@ TraceContext current_trace_context() noexcept;
 /// attributes time by kind, so the set is part of the lobster.spans.v1
 /// schema (tools/validate_metrics.py mirrors it).
 enum class SpanKind : std::uint8_t {
-  kFetch = 0,        ///< root: one end-to-end remote-tier fetch (executor)
+  kFetch = 0,        ///< root: one executor batch that routed samples to peers
+                     ///< (arg = samples routed, arg2 = iteration), re-routes included
   kAttempt,          ///< one request/reply round-trip against one holder
   kBackoff,          ///< retry backoff sleep between attempts
   kServe,            ///< remote rank's handler (parent = requester's attempt)
@@ -64,7 +65,8 @@ enum class SpanKind : std::uint8_t {
   kPfsFallback,      ///< payload re-materialized from the PFS
   kBreakerFastFail,  ///< instant: open circuit breaker rejected the fetch
   kInventoryProbe,   ///< recovery half-open probe round-trip (its own trace)
-  kMultiGet,         ///< root: one batched multi-get round against one holder
+  kMultiGet,         ///< one multi-get envelope round against one holder: a
+                     ///< child of the caller's span, a root outside any span
   kKindCount,
 };
 

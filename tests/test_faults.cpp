@@ -496,6 +496,43 @@ TEST(FaultAcceptance, FourNodeRunSurvivesNodeDeathMidEpoch) {
   EXPECT_EQ(degraded, faulted.report.degraded_fetches);
 }
 
+TEST(FaultAcceptance, DeadHolderCostsOneRetryBudgetPerEnvelope) {
+  // One chunk of misses, all credited to a dead rank 1, with the breaker
+  // disabled so nothing fast-fails. The chunk's one envelope pays the retry
+  // budget once; its failure marks rank 1 down and every sample, with no
+  // holder left, goes to the PFS without asking rank 1 again.
+  constexpr std::uint32_t kBatch = 8;
+  const Plan plan = fault_plan_for(2, 1, 1, kBatch);
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(2 * kBatch, 512), plan.seed);
+  const auto sampler = fault_sampler(catalog.size(), 2, 1, kBatch);
+  cache::CacheDirectory directory(2);
+  for (SampleId s = 0; s < catalog.size(); ++s) directory.add(s, 1);
+
+  comm::MessageBus bus(2);
+  comm::FaultPlan fault(2);
+  bus.set_fault_plan(&fault);
+  fault.kill(1);
+  FetchPolicy policy = tight_policy();
+  policy.breaker_threshold = 0;  // never opens
+  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+
+  ExecutorConfig config;
+  config.node = 0;
+  config.balance.max_pool_threads = 2;
+  PlanExecutor executor(config, catalog, sampler, plan);
+  executor.set_manager(&client);
+  executor.set_directory(&directory);
+  const auto report = executor.run();
+
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(client.timeouts(), 1U + policy.max_retries);
+  EXPECT_FALSE(client.breaker_open(1));
+  EXPECT_TRUE(directory.node_down(1));
+  ASSERT_EQ(report.iterations.size(), 1U);
+  EXPECT_EQ(report.iterations[0].pfs_fetches, kBatch);
+  EXPECT_EQ(report.degraded_fetches, kBatch);
+}
+
 // ---- Batched multi-get (DistributionManager::fetch_remote_many).
 
 TEST(MultiGetFetch, BatchRoundTripDeliversEveryVerifiedPayload) {

@@ -301,6 +301,60 @@ TEST(RecoveryExecutor, CorruptHolderIsBypassedToTheNextReplica) {
   EXPECT_GT(client.corrupt_replies(), 0U);
 }
 
+TEST(RecoveryExecutor, CorruptHolderIsAskedOnceAndEachRerouteCountsDegradedOnce) {
+  // Every sample lives on ranks 1 AND 2, and every reply rank 1 sends is
+  // damaged. A sample whose bytes came back corrupt is quarantined, rank 1
+  // joins its exclude mask, and it goes to rank 2 in the next round: rank 1
+  // is never asked for it again, and it counts as degraded exactly once.
+  constexpr std::uint16_t kNodes = 3;
+  constexpr std::uint32_t kBatch = 16;
+  const Plan plan = small_plan(kNodes, 1, 1, kBatch);
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(kNodes * kBatch, 512),
+                                    plan.seed);
+  const auto sampler = small_sampler(catalog.size(), kNodes, 1, kBatch);
+
+  cache::CacheDirectory directory(kNodes);
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    directory.add(s, 1);
+    directory.add(s, 2);
+  }
+  comm::MessageBus bus(kNodes);
+  comm::FaultPlan fault(kNodes);
+  fault.spec(1).corrupt_fraction = 1.0;
+  bus.set_fault_plan(&fault);
+
+  const auto sizes = [&catalog](SampleId s) { return catalog.sample_bytes(s); };
+  const auto has = [](SampleId) { return true; };
+  auto policy = tight_policy();
+  policy.corrupt_strike_threshold = 100;  // rank 1 keeps answering
+  DistributionManager corrupt_holder(bus.endpoint(1), has, sizes, policy);
+  DistributionManager clean_holder(bus.endpoint(2), has, sizes, policy);
+  corrupt_holder.start();
+  clean_holder.start();
+  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+
+  ExecutorConfig config;
+  config.node = 0;
+  config.balance.max_pool_threads = 2;
+  PlanExecutor executor(config, catalog, sampler, plan);
+  executor.set_manager(&client);
+  executor.set_directory(&directory);
+  const auto report = executor.run();
+  corrupt_holder.stop();
+  clean_holder.stop();
+
+  EXPECT_TRUE(report.clean());
+  ASSERT_EQ(report.iterations.size(), 1U);
+  EXPECT_EQ(report.iterations[0].remote_fetches, kBatch);
+  EXPECT_EQ(report.iterations[0].pfs_fetches, 0U);
+  EXPECT_GT(report.quarantined_payloads, 0U);
+  // Rank 1 served each sample of the minibatch once: its first route.
+  EXPECT_EQ(corrupt_holder.served_requests(), kBatch);
+  // Each quarantined sample was re-routed to rank 2 once, counted once.
+  EXPECT_EQ(clean_holder.served_requests(), report.quarantined_payloads);
+  EXPECT_EQ(report.degraded_fetches, report.quarantined_payloads);
+}
+
 TEST(RecoveryExecutor, CorruptKvEntryIsEvictedAndRepublishedVerified) {
   constexpr std::uint32_t kBatch = 4;
   const Plan plan = small_plan(1, 1, 1, kBatch);

@@ -684,13 +684,36 @@ struct HolderCluster {
     return report;
   }
 
-  /// kMultiGet roots sent toward node 1.
-  static std::size_t multi_get_roots() {
+  /// The span trees node 0's batches left in `spans`: one kFetch root per
+  /// batch that reached a peer, the multi-get envelopes toward node 1 that
+  /// hang directly under such a root, and the re-route spans (detours and
+  /// PFS fallbacks) anywhere.
+  struct BatchTrees {
     std::size_t roots = 0;
-    for (const auto& span : SpanLog::instance().snapshot()) {
-      if (span.kind == SpanKind::kMultiGet && span.parent_span_id == 0 && span.arg == 1) ++roots;
+    std::uint64_t routed = 0;  ///< sum of root args: samples routed to peers
+    std::size_t envelopes = 0;
+    std::size_t reroute_spans = 0;
+  };
+  static BatchTrees batch_trees(const std::vector<telemetry::SpanRecord>& spans) {
+    BatchTrees trees;
+    std::unordered_set<std::uint64_t> roots;
+    for (const auto& span : spans) {
+      if (span.kind == SpanKind::kFetch && span.parent_span_id == 0) {
+        roots.insert(span.span_id);
+        ++trees.roots;
+        trees.routed += span.arg;
+      }
+      if (span.kind == SpanKind::kDetour || span.kind == SpanKind::kPfsFallback) {
+        ++trees.reroute_spans;
+      }
     }
-    return roots;
+    for (const auto& span : spans) {
+      if (span.kind == SpanKind::kMultiGet && span.arg == 1 &&
+          roots.count(span.parent_span_id) > 0) {
+        ++trees.envelopes;
+      }
+    }
+    return trees;
   }
 
   static constexpr std::uint64_t kSeed = 5;
@@ -730,8 +753,7 @@ TEST(BatchedPrefetch, PlanPrefetchesGoOutAsMultiGetChunks) {
   cluster.place_on_holder(prefetched, /*serve=*/true);
 
   const auto report = cluster.run(/*spans=*/true);
-  const std::size_t envelopes = HolderCluster::multi_get_roots();
-  const auto spans = SpanLog::instance().snapshot();
+  const auto trees = HolderCluster::batch_trees(SpanLog::instance().snapshot());
   SpanLog::instance().clear();
 
   EXPECT_TRUE(report.clean());
@@ -742,18 +764,12 @@ TEST(BatchedPrefetch, PlanPrefetchesGoOutAsMultiGetChunks) {
   EXPECT_EQ(report.iterations[1].local_hits, kPrefetches);
   EXPECT_EQ(report.iterations[1].remote_fetches + report.iterations[1].pfs_fetches, 0U);
 
-  // One multi-get envelope per 32-sample chunk, and no per-sample fetch
-  // tree for any prefetched sample.
-  EXPECT_EQ(envelopes, (kPrefetches + 31) / 32);
-  const std::unordered_set<SampleId> prefetch_set(prefetched.begin(), prefetched.end());
-  std::size_t prefetch_fetch_roots = 0;
-  for (const auto& span : spans) {
-    if (span.kind == SpanKind::kFetch && span.parent_span_id == 0 &&
-        prefetch_set.count(static_cast<SampleId>(span.arg)) > 0) {
-      ++prefetch_fetch_roots;
-    }
-  }
-  EXPECT_EQ(prefetch_fetch_roots, 0U);
+  // One multi-get envelope per 32-sample chunk, each under its chunk's one
+  // kFetch root; the roots cover every prefetch and nothing re-routed.
+  EXPECT_EQ(trees.envelopes, (kPrefetches + 31) / 32);
+  EXPECT_EQ(trees.roots, (kPrefetches + 31) / 32);
+  EXPECT_EQ(trees.routed, kPrefetches);
+  EXPECT_EQ(trees.reroute_spans, 0U);
 }
 
 TEST(BatchedPrefetch, HolderGroupRepliesStayWithinOneArenaClass) {
@@ -767,13 +783,13 @@ TEST(BatchedPrefetch, HolderGroupRepliesStayWithinOneArenaClass) {
   const auto before = PayloadArena::stats();
   const auto report = cluster.run(/*spans=*/true);
   const auto after = PayloadArena::stats();
-  const std::size_t envelopes = HolderCluster::multi_get_roots();
+  const auto trees = HolderCluster::batch_trees(SpanLog::instance().snapshot());
   SpanLog::instance().clear();
 
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.iterations[0].remote_fetches, kBatch);
   EXPECT_EQ(cluster.holder.served_requests(), kBatch);
-  EXPECT_GE(envelopes, 2U);
+  EXPECT_GE(trees.envelopes, 2U);
   EXPECT_EQ(after.oversize_allocs, before.oversize_allocs);
 }
 
@@ -796,8 +812,9 @@ TEST(BatchedPrefetch, NotFoundFromALiveHolderCostsOneRoundTrip) {
 TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
   // Every minibatch mixes samples node 1 serves, samples the directory
   // credits to node 1 that it no longer holds, and samples nobody holds.
-  // Arming spans must not change one routing decision, and a miss routed
-  // to the PFS by the batch path must not root a per-sample kFetch tree.
+  // Arming spans must not change one routing decision; each drained chunk
+  // roots one kFetch tree over exactly its peer-routed samples, and a
+  // not-found sent to the PFS is no re-route.
   constexpr std::uint32_t kIterations = 2;
   constexpr std::uint32_t kBatch = 96;
   struct Outcome {
@@ -805,18 +822,14 @@ TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
     std::uint64_t served = 0;
     std::uint64_t failed = 0;
   };
-  std::unordered_set<SampleId> routed_to_pfs;
   const auto run = [&](bool spans) {
     HolderCluster cluster(kIterations, kBatch, 512);
     for (IterId i = 0; i < kIterations; ++i) {
       const auto batch = cluster.sampler.minibatch(0, i, 0, 0);
       for (std::size_t k = 0; k < batch.size(); ++k) {
-        if (k % 3 == 2) {
-          routed_to_pfs.insert(batch[k]);  // credited to nobody
-          continue;
-        }
+        if (k % 3 == 2) continue;  // credited to nobody
+        // k % 3 == 1: credited to node 1, which answers not found.
         cluster.place_on_holder({batch[k]}, /*serve=*/k % 3 == 0);
-        if (k % 3 == 1) routed_to_pfs.insert(batch[k]);  // holder says not found
       }
     }
     const auto report = cluster.run(spans);
@@ -833,7 +846,7 @@ TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
 
   const Outcome untraced = run(/*spans=*/false);
   const Outcome traced = run(/*spans=*/true);
-  const auto spans = SpanLog::instance().snapshot();
+  const auto trees = HolderCluster::batch_trees(SpanLog::instance().snapshot());
   SpanLog::instance().clear();
 
   EXPECT_EQ(traced.tiers, untraced.tiers);
@@ -842,14 +855,10 @@ TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
   EXPECT_EQ(untraced.served, std::uint64_t{kIterations} * kBatch / 3);
   EXPECT_EQ(untraced.failed, std::uint64_t{kIterations} * kBatch / 3);
 
-  std::size_t pfs_fetch_roots = 0;
-  for (const auto& span : spans) {
-    if (span.kind == SpanKind::kFetch && span.parent_span_id == 0 &&
-        routed_to_pfs.count(static_cast<SampleId>(span.arg)) > 0) {
-      ++pfs_fetch_roots;
-    }
-  }
-  EXPECT_EQ(pfs_fetch_roots, 0U);
+  EXPECT_EQ(trees.roots, std::size_t{kIterations} * kBatch / 32);
+  EXPECT_EQ(trees.envelopes, trees.roots);
+  EXPECT_EQ(trees.routed, std::uint64_t{kIterations} * kBatch * 2 / 3);
+  EXPECT_EQ(trees.reroute_spans, 0U);
 }
 
 }  // namespace

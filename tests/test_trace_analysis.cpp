@@ -15,6 +15,7 @@
 #include "telemetry/analysis/analyzer.hpp"
 #include "telemetry/analysis/json.hpp"
 #include "telemetry/analysis/report.hpp"
+#include "telemetry/analysis/span_analysis.hpp"
 #include "telemetry/analysis/trace_log.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/registry.hpp"
@@ -401,6 +402,81 @@ TEST(AnalysisReport, TablesRenderInAllFormats) {
   EXPECT_TRUE(parse_format("md", format));
   EXPECT_EQ(format, Format::kMarkdown);
   EXPECT_FALSE(parse_format("yaml", format));
+}
+
+// ---------------------------------------------------------------------------
+// Span stitching
+// ---------------------------------------------------------------------------
+
+/// One executor batch tree: the first envelope's attempt on rank 1 comes
+/// back corrupt (rank 1's serve still parents on it, so the tree touches
+/// two ranks), the sample detours, and the re-route envelope's attempt is
+/// served on rank 2.
+std::vector<LoadedSpan> rerouted_batch_tree() {
+  const auto span = [](const char* id, const char* parent, const char* kind, std::uint16_t rank,
+                       std::uint64_t begin, std::uint64_t end, const char* status = "ok") {
+    LoadedSpan s;
+    s.trace = "t1";
+    s.span = id;
+    s.parent = parent;
+    s.kind = kind;
+    s.status = status;
+    s.rank = rank;
+    s.begin_us = begin;
+    s.end_us = end;
+    return s;
+  };
+  std::vector<LoadedSpan> spans{
+      span("1", "0", "fetch", 0, 0, 100),
+      span("2", "1", "multi_get", 0, 1, 40),
+      span("3", "2", "attempt", 0, 1, 40, "corrupt"),
+      span("4", "3", "serve", 1, 5, 30),
+      span("5", "1", "detour", 0, 41, 41),
+      span("6", "1", "multi_get", 0, 42, 60),
+      span("7", "6", "attempt", 0, 42, 60),
+      span("8", "7", "serve", 2, 45, 55),
+  };
+  spans.front().arg = 2;   // samples routed to peers
+  spans.front().arg2 = 5;  // iteration
+  return spans;
+}
+
+TEST(SpanStitching, ARerouteServedOnAnotherRankIsStitched) {
+  const auto analysis = analyze_spans(rerouted_batch_tree());
+  ASSERT_EQ(analysis.traces.size(), 1u);
+  const TraceSummary& trace = analysis.traces.front();
+  EXPECT_TRUE(trace.well_formed);
+  EXPECT_TRUE(trace.degraded);
+  EXPECT_TRUE(trace.stitched);
+  EXPECT_EQ(trace.iter, 5u);
+  EXPECT_EQ(analysis.fetch_traces, 1u);
+  EXPECT_EQ(analysis.degraded_fetches, 1u);
+  EXPECT_EQ(analysis.cross_rank_fetches, 1u);
+}
+
+TEST(SpanStitching, ARerouteAttemptWithoutAServeIsNotStitched) {
+  auto spans = rerouted_batch_tree();
+  spans.pop_back();  // the re-route's serve never arrived
+  const auto analysis = analyze_spans(spans);
+  ASSERT_EQ(analysis.traces.size(), 1u);
+  const TraceSummary& trace = analysis.traces.front();
+  EXPECT_TRUE(trace.well_formed);
+  EXPECT_TRUE(trace.degraded);
+  EXPECT_GE(trace.ranks, 2u);  // the first envelope's serve still crossed ranks
+  EXPECT_FALSE(trace.stitched);
+  EXPECT_EQ(analysis.cross_rank_fetches, 0u);
+}
+
+TEST(SpanStitching, AServeWhoseParentDoesNotResolveIsNotStitched) {
+  auto spans = rerouted_batch_tree();
+  spans.back().parent = "ff";  // lost the requester's attempt context
+  const auto analysis = analyze_spans(spans);
+  ASSERT_EQ(analysis.traces.size(), 1u);
+  const TraceSummary& trace = analysis.traces.front();
+  EXPECT_FALSE(trace.well_formed);
+  EXPECT_FALSE(trace.stitched);
+  EXPECT_EQ(analysis.cross_rank_fetches, 0u);
+  EXPECT_EQ(analysis.malformed_traces, 1u);
 }
 
 }  // namespace

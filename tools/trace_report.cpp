@@ -258,7 +258,7 @@ int run_span_mode(const Options& options) {
   }
   const auto result = analysis::analyze_spans(spans);
   if (options.section == "all") {
-    std::printf("%zu spans in %zu traces (%zu fetches: %zu degraded, %zu cross-rank, "
+    std::printf("%zu spans in %zu traces (%zu fetches: %zu degraded, %zu stitched, "
                 "%zu malformed)\n\n",
                 result.total_spans, result.traces.size(), result.fetch_traces,
                 result.degraded_fetches, result.cross_rank_fetches,
