@@ -405,76 +405,96 @@ Status DistributionManager::fast_fail(comm::Rank holder, SampleId sample) {
 
 Result<std::vector<std::byte>> DistributionManager::fetch_remote(SampleId sample,
                                                                  comm::Rank holder) {
-  if (breaker_open(holder)) return fast_fail(holder, sample);
-  const auto result = std::move(fetch_round(holder, {sample}, {}).front());
+  const auto result = std::move(collect(post(holder, {&sample, 1}, 0)).front());
   if (!result.ok()) return result.status();
   return std::vector<std::byte>(result->begin(), result->end());
 }
 
 std::vector<Result<PayloadView>> DistributionManager::fetch_remote_many(
-    comm::Rank holder, const std::vector<SampleId>& samples, IterId iter,
-    const std::function<void()>& while_waiting) {
+    comm::Rank holder, const std::vector<SampleId>& samples, IterId iter) {
   if (samples.empty()) return {};
-  if (breaker_open(holder)) {
-    return std::vector<Result<PayloadView>>(samples.size(), fast_fail(holder, samples.front()));
-  }
-  // One span per batch round (arg = holder, arg2 = iter): a child of the
-  // caller's span, so the executor's re-route rounds share one tree.
-  telemetry::Span multi(telemetry::SpanKind::kMultiGet, endpoint_.rank(), holder);
-  multi.set_arg2(iter);
-  return fetch_round(holder, samples, while_waiting);
+  return collect(post(holder, samples, iter));
 }
 
-std::vector<Result<PayloadView>> DistributionManager::fetch_round(
-    comm::Rank holder, const std::vector<SampleId>& samples,
-    const std::function<void()>& while_waiting) {
+DistributionManager::PostedFetch DistributionManager::post(comm::Rank holder,
+                                                           std::span<const SampleId> samples,
+                                                           IterId iter) {
+  PostedFetch posted;
+  posted.holder_ = holder;
+  posted.samples_ = samples;
+  if (breaker_open(holder)) {
+    posted.failed_ = fast_fail(holder, samples.front());
+    return posted;
+  }
+  // One span per envelope (arg = holder, arg2 = iter): a child of the
+  // caller's span, so the executor's re-route rounds share one tree.
+  posted.multi_ = telemetry::Span::detached(telemetry::SpanKind::kMultiGet, endpoint_.rank(),
+                                            telemetry::current_trace_context(), holder);
+  posted.multi_.set_arg2(iter);
+  send_attempt(posted);
+  return posted;
+}
+
+void DistributionManager::send_attempt(PostedFetch& posted) {
+  // One envelope per attempt, whatever the batch size; a fresh request id
+  // each time, so a late reply to an abandoned attempt is never read.
+  // arg = batch size, arg2 = holder.
+  const std::span<const SampleId> samples = posted.samples_;
+  posted.attempt_ = telemetry::Span::detached(telemetry::SpanKind::kAttempt, endpoint_.rank(),
+                                              posted.multi_.context(), samples.size());
+  posted.attempt_.set_arg2(posted.holder_);
+  posted.request_id_ = next_request_id_.fetch_add(1);
+  const FetchRequest request{posted.request_id_, kMultiGetSample};
+  const std::uint64_t count = samples.size();
+  auto wire = PayloadArena::acquire(sizeof(request) + sizeof(count) +
+                                    samples.size() * sizeof(SampleId));
+  std::memcpy(wire->data(), &request, sizeof(request));
+  std::memcpy(wire->data() + sizeof(request), &count, sizeof(count));
+  std::memcpy(wire->data() + sizeof(request) + sizeof(count), samples.data(),
+              samples.size() * sizeof(SampleId));
+  // The send carries the attempt's context, so the holder's kServe is its
+  // child.
+  const telemetry::ScopedContext on_wire(posted.attempt_.context());
+  posted.failed_ =
+      endpoint_.send(posted.holder_, kFetchRequestTag, comm::PayloadPtr(std::move(wire)));
+  if (!posted.failed_.ok()) posted.attempt_.set_status(posted.failed_.code());
+}
+
+std::vector<Result<PayloadView>> DistributionManager::collect(PostedFetch posted) {
+  const std::span<const SampleId> samples = posted.samples_;
+  const comm::Rank holder = posted.holder_;
   std::vector<Result<PayloadView>> results;
+  if (!posted.failed_.ok()) {
+    results.assign(samples.size(), posted.failed_);
+    return results;
+  }
+  // Backoff spans and the events below belong to this envelope's tree.
+  const telemetry::ScopedContext in_envelope(posted.multi_.context());
   results.reserve(samples.size());
-  Status last = Status::timeout("no attempt made");
   Seconds backoff = policy_.backoff_base;
-  const std::uint32_t attempts = 1 + policy_.max_retries;
-  for (std::uint32_t round = 0; round < attempts; ++round) {
-    if (round > 0) {
-      ++retries_;
-      LOBSTER_METRIC_COUNT("comm.retries", 1);
-      telemetry::Span sleep(telemetry::SpanKind::kBackoff, endpoint_.rank(), samples.front());
-      sleep.set_arg2(round);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(backoff * 2.0, policy_.backoff_cap);
-    }
-    // One envelope per attempt, whatever the batch size; a fresh request id
-    // each time, so a late reply to an abandoned attempt is never read.
-    // arg = batch size, arg2 = holder.
-    telemetry::Span attempt(telemetry::SpanKind::kAttempt, endpoint_.rank(), samples.size());
-    attempt.set_arg2(holder);
-    const std::uint64_t request_id = next_request_id_.fetch_add(1);
-    const FetchRequest request{request_id, kMultiGetSample};
-    const std::uint64_t count = samples.size();
-    auto wire = PayloadArena::acquire(sizeof(request) + sizeof(count) +
-                                      samples.size() * sizeof(SampleId));
-    std::memcpy(wire->data(), &request, sizeof(request));
-    std::memcpy(wire->data() + sizeof(request), &count, sizeof(count));
-    std::memcpy(wire->data() + sizeof(request) + sizeof(count), samples.data(),
-                samples.size() * sizeof(SampleId));
-    if (Status sent = endpoint_.send(holder, kFetchRequestTag,
-                                     comm::PayloadPtr(std::move(wire)));
-        !sent.ok()) {
-      attempt.set_status(sent.code());
-      last = sent;
-      break;
-    }
-    if (round == 0 && while_waiting) while_waiting();
-    auto response = endpoint_.recv_for(response_tag(request_id), policy_.timeout);
+  for (std::uint32_t round = 1;; ++round) {
+    auto response = endpoint_.recv_for(response_tag(posted.request_id_), policy_.timeout);
     if (!response.ok()) {
-      attempt.set_status(response.status().code());
-      last = response.status();
-      if (last.code() != StatusCode::kTimeout) break;  // shutdown etc.
+      posted.attempt_.set_status(response.status().code());
+      posted.failed_ = response.status();
+      if (posted.failed_.code() != StatusCode::kTimeout) break;  // shutdown etc.
       // One breaker strike per failed *envelope*, not per sample. The
       // timeout that trips the breaker still reports kTimeout, but the
       // rest of the budget is not burned against an open breaker.
       record_timeout(holder);
-      if (breaker_open(holder)) break;
-      continue;  // retry the whole batch
+      if (breaker_open(holder) || round > policy_.max_retries) break;
+      posted.attempt_.end();
+      ++retries_;
+      LOBSTER_METRIC_COUNT("comm.retries", 1);
+      {
+        telemetry::Span sleep(telemetry::SpanKind::kBackoff, endpoint_.rank(), samples.front());
+        sleep.set_arg2(round);
+        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+      }
+      backoff = std::min(backoff * 2.0, policy_.backoff_cap);
+      send_attempt(posted);  // retry the whole batch
+      if (!posted.failed_.ok()) break;
+      continue;
     }
 
     const auto& reply = response->bytes();
@@ -526,7 +546,7 @@ std::vector<Result<PayloadView>> DistributionManager::fetch_round(
       results.emplace_back(Status::corrupt("multi-get reply malformed"));
       any_corrupt = true;
     }
-    attempt.set_status(any_corrupt ? StatusCode::kCorrupt : StatusCode::kOk);
+    posted.attempt_.set_status(any_corrupt ? StatusCode::kCorrupt : StatusCode::kOk);
     // A reply with any corrupt bytes charges ONE strike and is never
     // retried here: the caller routes to the next holder. A clean reply
     // (found or authoritative not-found alike) resets the failure run.
@@ -537,7 +557,7 @@ std::vector<Result<PayloadView>> DistributionManager::fetch_round(
     }
     return results;
   }
-  results.assign(samples.size(), last);
+  results.assign(samples.size(), posted.failed_);
   return results;
 }
 

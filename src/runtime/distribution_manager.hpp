@@ -9,7 +9,9 @@
 // answers peers' inventory and multi-get requests from the node's local
 // store. Every sample fetch, many samples (fetch_remote_many, the one the
 // executor uses) or one (fetch_remote), is the same request/reply round:
-// one multi-get envelope per attempt. Sample payloads are synthesized deterministically
+// one multi-get envelope per attempt, split into post (send attempt 0) and
+// collect (wait, retry, decode, verify), so a caller can have envelopes to
+// several holders in flight at once. Sample payloads are synthesized deterministically
 // from the sample id, so receivers can verify integrity end to end.
 //
 // Fault tolerance (DESIGN.md §9): the round is deadline-based — each
@@ -40,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,6 +50,7 @@
 #include "comm/bus.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace lobster::runtime {
 
@@ -159,8 +163,9 @@ class DistributionManager {
   void stop();
 
   /// Fetch of `sample` from `holder`'s cache: the multi-get round with one
-  /// id (its kAttempt spans carry arg = batch size 1), traced under the
-  /// caller's span, with the payload copied out. The runtime itself fetches
+  /// id (post then collect; its kMultiGet carries arg2 = 0 and its kAttempt
+  /// spans arg = batch size 1), traced under the caller's span, with the
+  /// payload copied out. The runtime itself fetches
   /// through fetch_remote_many only; this single-sample form serves
   /// microbenchmarks and tests. Failure causes:
   ///   kNotFound  — the peer answered: it no longer holds the sample
@@ -174,8 +179,9 @@ class DistributionManager {
   Result<std::vector<std::byte>> fetch_remote(SampleId sample, comm::Rank holder);
 
   /// Batched fetch: all of `samples` from `holder` in ONE request/reply
-  /// round-trip per attempt. The reply carries per-sample status, so the
-  /// failure vocabulary is fetch_remote's, per sample:
+  /// round-trip per attempt, i.e. collect(post(holder, samples, iter)). The
+  /// reply carries per-sample status, so the failure vocabulary is
+  /// fetch_remote's, per sample:
   ///   kNotFound — the peer answered: it no longer holds that sample;
   ///   kCorrupt  — that sample's bytes failed verification (one breaker
   ///               strike per corrupted *reply*, not per sample), or the
@@ -185,17 +191,43 @@ class DistributionManager {
   /// Results align index-for-index with `samples`. A successful result is a
   /// view of the reply, verified in place where it came off the wire: the
   /// caller neither copies nor re-verifies it. The round is traced as a
-  /// kMultiGet span (arg = holder, arg2 = iter): a child of the caller's
-  /// current span (the executor's per-batch kFetch root), or a root when
-  /// called outside any span. The open-breaker fast-fail happens before,
-  /// outside that span, as a kBreakerFastFail instant under the caller's.
-  /// `while_waiting`, when set, runs once on the calling thread after the
-  /// first envelope is sent and before its reply is awaited, so the caller's
-  /// local work overlaps the holder's serve. It runs inside the batch's
-  /// spans, so it should not open spans of its own.
-  std::vector<Result<PayloadView>> fetch_remote_many(
-      comm::Rank holder, const std::vector<SampleId>& samples, IterId iter,
-      const std::function<void()>& while_waiting = {});
+  /// kMultiGet span (arg = holder, arg2 = iter) over its kAttempt spans: a
+  /// child of the caller's current span, or a root when called outside any
+  /// span. The open-breaker fast-fail happens before, outside that span, as
+  /// a kBreakerFastFail instant under the caller's.
+  std::vector<Result<PayloadView>> fetch_remote_many(comm::Rank holder,
+                                                     const std::vector<SampleId>& samples,
+                                                     IterId iter);
+
+  /// One multi-get envelope between post() and collect(): the holder, the
+  /// ids, the request id in flight and the envelope's spans. Move-only; the
+  /// caller keeps the posted ids alive until collect().
+  class PostedFetch {
+    friend class DistributionManager;
+    comm::Rank holder_ = 0;
+    std::span<const SampleId> samples_;
+    std::uint64_t request_id_ = 0;  ///< the attempt in flight
+    /// Not ok once the envelope has failed without a reply to wait for
+    /// (open breaker, bus shutdown): collect() then reports it per sample.
+    Status failed_;
+    telemetry::Span multi_;    ///< kMultiGet, detached: envelopes overlap
+    telemetry::Span attempt_;  ///< the kAttempt in flight, detached
+  };
+
+  /// Sends attempt 0 of one envelope asking `holder` for `samples` (not
+  /// empty) and returns without waiting. An open breaker fast-fails it
+  /// with kPeerDown, as fetch_remote_many describes. The kMultiGet span is
+  /// a child of the calling thread's current span (the executor's
+  /// per-batch kFetch root) but is never installed as current, so
+  /// envelopes in flight together are siblings; the holder's kServe
+  /// parents to the attempt that posted it.
+  PostedFetch post(comm::Rank holder, std::span<const SampleId> samples, IterId iter);
+
+  /// Waits for `posted`'s reply, then decodes and verifies it in place. On
+  /// a timeout it runs the remaining FetchPolicy::max_retries attempts
+  /// itself, so an envelope costs at most 1 + max_retries attempts. Results
+  /// align with the posted ids; fetch_remote_many describes them.
+  std::vector<Result<PayloadView>> collect(PostedFetch posted);
 
   /// The samples `holder` currently serves, checksummed end to end. Used by
   /// the RecoveryManager both as the half-open liveness probe for a down
@@ -258,12 +290,9 @@ class DistributionManager {
                                 std::uint64_t request_id);
   /// Counts and traces a breaker fast-fail; returns the kPeerDown status.
   Status fast_fail(comm::Rank holder, SampleId sample);
-  /// The one sample request/reply round (DESIGN.md §8, §9): a multi-get
-  /// envelope per attempt, timeout/backoff retries, reply decode, in-place
-  /// verification and breaker accounting. Results align with `samples`.
-  std::vector<Result<PayloadView>> fetch_round(comm::Rank holder,
-                                               const std::vector<SampleId>& samples,
-                                               const std::function<void()>& while_waiting);
+  /// Sends one attempt of `posted` under a fresh request id and a fresh
+  /// kAttempt span; a failed send ends the envelope.
+  void send_attempt(PostedFetch& posted);
   void record_success(comm::Rank holder);
   void record_timeout(comm::Rank holder);
   void record_corrupt(comm::Rank holder);

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <functional>
 #include <future>
 #include <thread>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -142,9 +142,9 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
   }
 
   // Batched cold path: materialize straight into arena-backed buffers and
-  // publish. It runs while each multi-get below waits on its holder, so
-  // local PFS work overlaps the holder's serve, and once more at the end
-  // for the samples the rounds sent to the PFS.
+  // publish. It runs whenever envelopes are in flight, so local PFS work
+  // overlaps the holders' serves, and once more at the end for the samples
+  // the rounds sent to the PFS.
   std::size_t pfs_done = 0;
   const auto materialize_pending = [&] {
     for (; pfs_done < pfs_batch.size(); ++pfs_done) {
@@ -172,18 +172,27 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
   // arg = samples routed to peers, arg2 = iteration.
   telemetry::Span fetch(telemetry::SpanKind::kFetch, config_.node, pending.size());
   fetch.set_arg2(iter);
-  // Wrapped by reference: the std::function stays allocation-free.
-  const std::function<void()> while_waiting(std::cref(materialize_pending));
 
-  // Re-route rounds. Each round sends one multi-get envelope per holder
-  // slice: consecutive samples whose framed reply fits one arena class, so
-  // no reply becomes an oversize heap block. A sample that fails on a holder
-  // adds it to its exclude mask and, once the round's envelopes are all
-  // back, moves on to its next holder, or to the PFS when none is left.
-  // Masks only grow, so the rounds end (at most one per cluster node).
+  // Re-route rounds. Each round scatters, then gathers: it posts the first
+  // slice of every holder, materializes the PFS batch, and collects the
+  // envelopes in the order they were posted. A slice is consecutive
+  // samples of one holder whose framed reply fits one arena class, so no
+  // reply becomes an oversize heap block; a holder's next slice is posted
+  // once its previous one is collected, so each holder has at most one
+  // envelope, and one arena class of reply bytes, in flight. A sample that
+  // fails on a holder adds it to its exclude mask and, once the round's
+  // envelopes are all back, moves on to its next holder, or to the PFS
+  // when none is left. Masks only grow, so the rounds end (at most one per
+  // cluster node).
+  struct InFlight {
+    std::size_t begin;
+    std::size_t end;
+    DistributionManager::PostedFetch fetch;
+  };
   bool rerouted = false;
   std::vector<PeerMiss> failed;
   std::vector<SampleId> ids;
+  std::vector<InFlight> in_flight;
   while (!pending.empty()) {
     // Holders go out in order of first appearance. Chunks are shuffled, so
     // concurrent drain tasks spread over the holders' server threads
@@ -200,17 +209,35 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
     std::stable_sort(pending.begin(), pending.end(), [&turn](const PeerMiss& a, const PeerMiss& b) {
       return turn[a.holder] < turn[b.holder];
     });
-    for (std::size_t begin = 0, end = 0; begin < pending.size(); begin = end) {
+    // The posted ids live here, aligned with `pending`, until the round ends.
+    ids.clear();
+    for (const PeerMiss& miss : pending) ids.push_back(miss.sample);
+    // Posts the slice starting at `begin` (an open breaker fast-fails it
+    // with kPeerDown) and queues it behind the envelopes already posted.
+    const auto post_slice = [&](std::size_t begin) {
       const NodeId holder = pending[begin].holder;
+      std::size_t end = begin;
       std::size_t reply_bytes = DistributionManager::kMultiGetReplyHeaderBytes;
-      for (end = begin; end < pending.size() && pending[end].holder == holder; ++end) {
+      for (; end < pending.size() && pending[end].holder == holder; ++end) {
         reply_bytes += DistributionManager::kMultiGetReplySampleBytes + pending[end].bytes;
         if (end > begin && reply_bytes > PayloadArena::kMaxClassBytes) break;
       }
-      ids.clear();
-      for (std::size_t i = begin; i < end; ++i) ids.push_back(pending[i].sample);
-      // An open breaker fast-fails the whole envelope with kPeerDown.
-      const auto results = manager_->fetch_remote_many(holder, ids, iter, while_waiting);
+      in_flight.push_back(InFlight{
+          begin, end,
+          manager_->post(holder, std::span(ids).subspan(begin, end - begin), iter)});
+    };
+    for (std::size_t begin = 0; begin < pending.size();) {
+      post_slice(begin);
+      const NodeId holder = pending[begin].holder;
+      while (begin < pending.size() && pending[begin].holder == holder) ++begin;
+    }
+    materialize_pending();
+
+    for (std::size_t next = 0; next < in_flight.size(); ++next) {
+      const std::size_t begin = in_flight[next].begin;
+      const std::size_t end = in_flight[next].end;
+      const NodeId holder = pending[begin].holder;
+      auto results = manager_->collect(std::move(in_flight[next].fetch));
       const StatusCode envelope = results.front().status().code();
       if (envelope == StatusCode::kTimeout || envelope == StatusCode::kPeerDown) {
         // Degraded routing (DESIGN.md §9): a timeout or peer-down fails the
@@ -218,7 +245,7 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
         // decision, not just this batch's.
         directory_->mark_node_down(holder);
         telemetry::EventLog::instance().emit(telemetry::EventKind::kNodeDown, holder,
-                                             ids.front(), iter);
+                                             ids[begin], iter);
       }
       for (std::size_t i = begin; i < end; ++i) {
         PeerMiss& miss = pending[i];
@@ -252,7 +279,15 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
         miss.exclude |= 1ULL << holder;
         failed.push_back(miss);
       }
+      // The holder's next slice goes out once this reply is released, so a
+      // holder never has more than one arena class of reply bytes alive.
+      results.clear();
+      if (end < pending.size() && pending[end].holder == holder) post_slice(end);
+      // PFS work this round has found so far (not-found answers) runs while
+      // the envelopes still in flight are served.
+      if (next + 1 < in_flight.size()) materialize_pending();
     }
+    in_flight.clear();
     // Route after the whole round, so a holder marked down by any of its
     // envelopes is skipped. A detour (arg2 = next holder, or kInvalidNode
     // for the PFS) precedes the attempts of the round it opens.

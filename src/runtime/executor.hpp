@@ -16,10 +16,11 @@
 // out twice and exactly-once holds by construction. The resident-sample set
 // is striped (no global store mutex), accounting is worker-local and merged
 // once per task, and remote misses are routed to the directory-recorded
-// holder in O(1). Every miss takes one path, execute_batch: multi-get
-// envelopes per holder, batched PFS materialize overlapping the holder's
-// serve, and re-route rounds (next holder, else the PFS) for samples whose
-// holder timed out, was down or sent corrupt bytes. Plan prefetches are not
+// holder in O(1). Every miss takes one path, execute_batch, in re-route
+// rounds that scatter, then gather: a multi-get envelope is posted to every
+// holder before any reply is awaited, the batched PFS materialize runs
+// while they are in flight, and samples whose holder timed out, was down
+// or sent corrupt bytes move on to their next holder, else the PFS. Plan prefetches are not
 // per-sample tasks: they are cut into the same 32-sample chunks and each
 // chunk runs that path on the loading pool, overlapped with the next
 // iteration's enqueue.
@@ -251,14 +252,18 @@ class PlanExecutor {
   /// The one miss path (DESIGN.md §8, §9), for a drained chunk's misses or
   /// a prefetch chunk, all of iteration `iter`: probes the KV tier per
   /// sample, batch-materializes cold misses from the PFS, and sends the
-  /// samples with a directory-recorded holder out in re-route rounds. Each
-  /// round sends one multi-get envelope (DistributionManager::
-  /// fetch_remote_many) per holder slice, sized so its reply fits one arena
-  /// class, and the PFS work runs while each envelope waits on its holder.
-  /// A timeout or peer-down marks the holder down, a corrupt sample is
-  /// quarantined; either way the holder joins that sample's exclude mask
-  /// and the sample moves to its next holder, or to the PFS when none is
-  /// left, and counts as degraded once. A not-found or shutdown goes
+  /// samples with a directory-recorded holder out in re-route rounds. A
+  /// holder's samples go out in slices, one multi-get envelope each, sized
+  /// so the reply fits one arena class. Each round posts the first slice of
+  /// every holder (DistributionManager::post), materializes the PFS batch,
+  /// then collects the envelopes in the order they were posted; a holder's
+  /// next slice is posted once its previous one is collected, so at most
+  /// one envelope per holder is in flight, and PFS work found meanwhile is
+  /// materialized while envelopes remain in flight. As an envelope is collected, a
+  /// timeout or peer-down marks its holder down and a corrupt sample is
+  /// quarantined; either way the holder joins that sample's exclude mask,
+  /// the sample counts as degraded once, and after the round it moves to
+  /// its next holder, or to the PFS when none is left. A not-found or shutdown goes
   /// straight to the PFS. A batch that routes any sample to a peer roots
   /// one kFetch span tree (DESIGN.md §11). Traced and untraced runs take
   /// the same branches.

@@ -1,6 +1,7 @@
 #include "telemetry/trace_context.hpp"
 
 #include <fstream>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "telemetry/telemetry.hpp"
@@ -161,18 +162,45 @@ Span::Span(SpanKind kind, std::uint16_t rank, std::uint64_t arg) noexcept {
   if (!log.enabled()) return;
   const TraceContext parent = g_current_context;
   const std::uint64_t trace_id = parent.valid() ? parent.trace_id : log.next_id();
-  open(kind, rank, trace_id, parent.span_id, arg);
+  open(kind, rank, trace_id, parent.span_id, arg, /*install=*/true);
 }
 
 Span::Span(SpanKind kind, std::uint16_t rank, const TraceContext& remote_parent,
            std::uint64_t arg) noexcept {
   auto& log = SpanLog::instance();
   if (!log.enabled() || !remote_parent.valid()) return;
-  open(kind, rank, remote_parent.trace_id, remote_parent.span_id, arg);
+  open(kind, rank, remote_parent.trace_id, remote_parent.span_id, arg, /*install=*/true);
+}
+
+Span::Span(Span&& other) noexcept
+    : record_(other.record_),
+      saved_(other.saved_),
+      active_(std::exchange(other.active_, false)),
+      installed_(other.installed_) {}
+
+Span& Span::operator=(Span&& other) noexcept {
+  if (this != &other) {
+    end();
+    record_ = other.record_;
+    saved_ = other.saved_;
+    active_ = std::exchange(other.active_, false);
+    installed_ = other.installed_;
+  }
+  return *this;
+}
+
+Span Span::detached(SpanKind kind, std::uint16_t rank, const TraceContext& parent,
+                    std::uint64_t arg) noexcept {
+  Span span;
+  auto& log = SpanLog::instance();
+  if (!log.enabled()) return span;
+  const std::uint64_t trace_id = parent.valid() ? parent.trace_id : log.next_id();
+  span.open(kind, rank, trace_id, parent.span_id, arg, /*install=*/false);
+  return span;
 }
 
 void Span::open(SpanKind kind, std::uint16_t rank, std::uint64_t trace_id,
-                std::uint64_t parent_span_id, std::uint64_t arg) noexcept {
+                std::uint64_t parent_span_id, std::uint64_t arg, bool install) noexcept {
   record_.trace_id = trace_id;
   record_.span_id = SpanLog::instance().next_id();
   record_.parent_span_id = parent_span_id;
@@ -180,15 +208,19 @@ void Span::open(SpanKind kind, std::uint16_t rank, std::uint64_t trace_id,
   record_.arg = arg;
   record_.kind = kind;
   record_.rank = rank;
-  saved_ = g_current_context;
-  g_current_context =
-      TraceContext{record_.trace_id, record_.span_id, record_.parent_span_id};
   active_ = true;
+  installed_ = install;
+  if (install) {
+    saved_ = g_current_context;
+    g_current_context =
+        TraceContext{record_.trace_id, record_.span_id, record_.parent_span_id};
+  }
 }
 
-Span::~Span() {
+void Span::end() noexcept {
   if (!active_) return;
-  g_current_context = saved_;
+  active_ = false;
+  if (installed_) g_current_context = saved_;
   record_.end_us = Tracer::instance().wall_now_us();
   SpanLog::instance().record(record_);
 }
@@ -214,6 +246,17 @@ void Span::instant(SpanKind kind, std::uint16_t rank, std::uint64_t arg,
   record.kind = kind;
   record.rank = rank;
   log.record(record);
+}
+
+ScopedContext::ScopedContext(const TraceContext& context) noexcept {
+  if (!context.valid()) return;
+  saved_ = g_current_context;
+  g_current_context = context;
+  installed_ = true;
+}
+
+ScopedContext::~ScopedContext() {
+  if (installed_) g_current_context = saved_;
 }
 
 }  // namespace lobster::telemetry

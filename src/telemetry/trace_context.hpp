@@ -146,16 +146,35 @@ class SpanLog {
 /// clock read) when the SpanLog is disabled at construction.
 class Span {
  public:
+  /// An inert span: records nothing.
+  Span() noexcept = default;
   /// Child of the thread-current context; roots a new trace when none.
   Span(SpanKind kind, std::uint16_t rank, std::uint64_t arg = 0) noexcept;
   /// Continues a propagated (cross-rank) context: same trace_id, parented
   /// under the sender's span. Invalid `remote_parent` => inert span.
   Span(SpanKind kind, std::uint16_t rank, const TraceContext& remote_parent,
        std::uint64_t arg = 0) noexcept;
-  ~Span();
+  /// Moves an open span; `other` becomes inert. The thread-current context
+  /// is held by value, so moving an installed span leaves it installed.
+  Span(Span&& other) noexcept;
+  /// Ends this span if it is open, then takes over `other`.
+  Span& operator=(Span&& other) noexcept;
+  ~Span() { end(); }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
+
+  /// A child of `parent` (a new trace's root when `parent` is invalid) that
+  /// is NOT installed as the thread-current context. Several may be open on
+  /// one thread and end in any order, as multi-get envelopes posted before
+  /// any is collected do; a send that should carry one runs inside a
+  /// ScopedContext of it. Inert when the SpanLog is disabled.
+  static Span detached(SpanKind kind, std::uint16_t rank, const TraceContext& parent,
+                       std::uint64_t arg = 0) noexcept;
+
+  /// Closes and records the span now; no-op when inert or already ended.
+  /// An installed span restores the context it replaced.
+  void end() noexcept;
 
   bool active() const noexcept { return active_; }
   void set_status(StatusCode code) noexcept { record_.status = code; }
@@ -173,11 +192,28 @@ class Span {
 
  private:
   void open(SpanKind kind, std::uint16_t rank, std::uint64_t trace_id,
-            std::uint64_t parent_span_id, std::uint64_t arg) noexcept;
+            std::uint64_t parent_span_id, std::uint64_t arg, bool install) noexcept;
 
   SpanRecord record_{};
   TraceContext saved_{};
   bool active_ = false;
+  bool installed_ = false;
+};
+
+/// Installs `context` as the thread-current context for its lifetime and
+/// then restores the previous one, so a send inside it propagates
+/// `context`. No-op for an invalid context.
+class ScopedContext {
+ public:
+  explicit ScopedContext(const TraceContext& context) noexcept;
+  ~ScopedContext();
+
+  ScopedContext(const ScopedContext&) = delete;
+  ScopedContext& operator=(const ScopedContext&) = delete;
+
+ private:
+  TraceContext saved_{};
+  bool installed_ = false;
 };
 
 }  // namespace lobster::telemetry

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -652,7 +656,7 @@ TEST(MultiGetFetch, CorruptedReplyQuarantinesAffectedSamplesAndStrikesOnce) {
   server.stop();
 }
 
-TEST(MultiGetFetch, WhileWaitingRunsOnceAfterTheFirstSend) {
+TEST(MultiGetFetch, CallerWorkBetweenPostAndCollectRunsOnce) {
   comm::MessageBus bus(3);
   comm::FaultPlan fault(3);
   bus.set_fault_plan(&fault);
@@ -664,14 +668,24 @@ TEST(MultiGetFetch, WhileWaitingRunsOnceAfterTheFirstSend) {
   server.start();
 
   int calls = 0;
-  const auto results = client.fetch_remote_many(1, {1, 2, 3}, 0, [&calls] { ++calls; });
+  const auto caller_work = [&calls] { ++calls; };
+  const std::vector<SampleId> live{1, 2, 3};
+  auto posted = client.post(1, live, 0);
+  caller_work();
+  const auto results = client.collect(std::move(posted));
   EXPECT_EQ(calls, 1);
   for (const auto& result : results) EXPECT_TRUE(result.ok());
 
-  // A dead holder: the retry round does not run the caller's work again.
+  // A dead holder: post returns without waiting, and every retry runs
+  // inside collect, not again around the caller's work.
   fault.kill(2);
   calls = 0;
-  const auto dead = client.fetch_remote_many(2, {4, 5}, 0, [&calls] { ++calls; });
+  const std::vector<SampleId> lost{4, 5};
+  auto dead_post = client.post(2, lost, 0);
+  caller_work();
+  EXPECT_EQ(client.timeouts(), 0U);
+  EXPECT_EQ(client.retries(), 0U);
+  const auto dead = client.collect(std::move(dead_post));
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(dead[0].status().code(), StatusCode::kTimeout);
   EXPECT_EQ(client.retries(), policy.max_retries);
@@ -747,9 +761,9 @@ std::vector<std::byte> multi_get_reply(const std::vector<SampleId>& ids, Bytes s
 }
 
 /// Rank 0 fetches from rank 1, whose raw endpoint answers the one multi-get
-/// request with a scripted reply. The answer goes out from the
-/// while_waiting hook, after the request is sent and before the client
-/// waits, so no server thread is needed.
+/// request with a scripted reply. The answer goes out between post and
+/// collect, after the request is sent and before the client waits, so no
+/// server thread is needed.
 struct ScriptedHolder {
   static FetchPolicy policy() {
     FetchPolicy policy = tight_policy();
@@ -760,13 +774,15 @@ struct ScriptedHolder {
 
   std::vector<Result<PayloadView>> fetch(const std::vector<SampleId>& samples,
                                          std::vector<std::byte> reply) {
+    auto posted = client.post(1, samples, 0);
     comm::Endpoint& holder = bus.endpoint(1);
-    return client.fetch_remote_many(1, samples, 0, [&] {
-      const auto request = holder.recv(kFetchRequestTag);
-      ASSERT_TRUE(request.ok());
+    const auto request = holder.recv(kFetchRequestTag);
+    EXPECT_TRUE(request.ok());
+    if (request.ok()) {
       const auto request_id = comm::Endpoint::value_of<std::uint64_t>(*request);
       (void)holder.send(0, DistributionManager::response_tag(request_id), std::move(reply));
-    });
+    }
+    return client.collect(std::move(posted));
   }
 
   comm::MessageBus bus{2};
@@ -949,6 +965,84 @@ TEST(MultiGetServe, TruncatedAndFalseCountRequestsNeverOverRead) {
   }
   EXPECT_EQ(server.served_requests(), served);
   server.stop();
+}
+
+// ---- Scatter, then gather: a batch posts every holder's envelope before
+// it waits on any reply.
+
+TEST(ScatterGather, HoldersThatAnswerOnlyTogetherServeOneChunk) {
+  // Node 0 drains one 16-sample chunk whose misses the directory splits
+  // between ranks 1 and 2. Each holder is a raw endpoint that answers a
+  // multi-get only once BOTH holders have received a request, and drops a
+  // request that waits out its deadline (shorter than the fetch timeout)
+  // alone. Asking one holder and awaiting its reply before asking the
+  // other times that holder out and degrades its samples.
+  constexpr std::uint32_t kBatch = 16;
+  constexpr Bytes kSampleBytes = 512;
+  constexpr std::size_t kRequestCountOffset = 16;  // request id, sentinel, padding
+  constexpr std::size_t kRequestIdsOffset = 24;
+  const Plan plan = fault_plan_for(3, 1, 1, kBatch);
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(3 * kBatch, kSampleBytes),
+                                    plan.seed);
+  const auto sampler = fault_sampler(catalog.size(), 3, 1, kBatch);
+  cache::CacheDirectory directory(3);
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    directory.add(s, static_cast<NodeId>(1 + s % 2));
+  }
+  const auto chunk = sampler.minibatch(0, 0, 0, 0);
+  ASSERT_EQ(chunk.size(), kBatch);
+  const auto on_rank_1 = std::count_if(chunk.begin(), chunk.end(),
+                                       [](SampleId s) { return s % 2 == 0; });
+  ASSERT_GT(on_rank_1, 0);
+  ASSERT_LT(on_rank_1, static_cast<std::ptrdiff_t>(kBatch));
+
+  comm::MessageBus bus(3);
+  FetchPolicy policy = tight_policy();
+  policy.timeout = 0.25;
+  const auto deadline = std::chrono::duration<double>(policy.timeout / 2);
+  std::mutex mutex;
+  std::condition_variable asked_cv;
+  std::array<bool, 3> asked{};
+  const auto serve = [&](const std::stop_token& stop, comm::Rank rank) {
+    comm::Endpoint& endpoint = bus.endpoint(rank);
+    while (!stop.stop_requested()) {
+      const auto request = endpoint.recv_for(kFetchRequestTag, 0.005);
+      if (!request.ok()) continue;
+      {
+        std::unique_lock lock(mutex);
+        asked[rank] = true;
+        asked_cv.notify_all();
+        if (!asked_cv.wait_for(lock, deadline, [&asked] { return asked[1] && asked[2]; })) {
+          continue;  // alone past the deadline: never answered
+        }
+      }
+      const auto& bytes = request->bytes();
+      std::uint64_t count = 0;
+      std::memcpy(&count, bytes.data() + kRequestCountOffset, sizeof(count));
+      std::vector<SampleId> ids(static_cast<std::size_t>(count));
+      std::memcpy(ids.data(), bytes.data() + kRequestIdsOffset, ids.size() * sizeof(SampleId));
+      const auto request_id = comm::Endpoint::value_of<std::uint64_t>(*request);
+      (void)endpoint.send(0, DistributionManager::response_tag(request_id),
+                          multi_get_reply(ids, kSampleBytes));
+    }
+  };
+  std::jthread holder_1(serve, comm::Rank{1});
+  std::jthread holder_2(serve, comm::Rank{2});
+
+  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+  ExecutorConfig config;
+  config.node = 0;
+  config.balance.max_pool_threads = 2;
+  PlanExecutor executor(config, catalog, sampler, plan);
+  executor.set_manager(&client);
+  executor.set_directory(&directory);
+  const auto report = executor.run();
+
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(client.timeouts(), 0U);
+  EXPECT_EQ(report.degraded_fetches, 0U);
+  ASSERT_EQ(report.iterations.size(), 1U);
+  EXPECT_EQ(report.iterations[0].remote_fetches, kBatch);
 }
 
 }  // namespace

@@ -783,7 +783,8 @@ TEST(BatchedPrefetch, HolderGroupRepliesStayWithinOneArenaClass) {
   const auto before = PayloadArena::stats();
   const auto report = cluster.run(/*spans=*/true);
   const auto after = PayloadArena::stats();
-  const auto trees = HolderCluster::batch_trees(SpanLog::instance().snapshot());
+  const auto spans = SpanLog::instance().snapshot();
+  const auto trees = HolderCluster::batch_trees(spans);
   SpanLog::instance().clear();
 
   EXPECT_TRUE(report.clean());
@@ -791,6 +792,20 @@ TEST(BatchedPrefetch, HolderGroupRepliesStayWithinOneArenaClass) {
   EXPECT_EQ(cluster.holder.served_requests(), kBatch);
   EXPECT_GE(trees.envelopes, 2U);
   EXPECT_EQ(after.oversize_allocs, before.oversize_allocs);
+
+  // At most one envelope to the holder is in flight: each attempt starts
+  // after the previous attempt to it ended, so in-flight reply bytes stay
+  // within one arena class.
+  std::vector<telemetry::SpanRecord> attempts;
+  for (const auto& span : spans) {
+    if (span.kind == SpanKind::kAttempt && span.arg2 == 1) attempts.push_back(span);
+  }
+  ASSERT_EQ(attempts.size(), trees.envelopes);
+  std::sort(attempts.begin(), attempts.end(),
+            [](const auto& a, const auto& b) { return a.begin_us < b.begin_us; });
+  for (std::size_t i = 1; i < attempts.size(); ++i) {
+    EXPECT_GE(attempts[i].begin_us, attempts[i - 1].end_us) << "attempt " << i;
+  }
 }
 
 TEST(BatchedPrefetch, NotFoundFromALiveHolderCostsOneRoundTrip) {

@@ -126,6 +126,58 @@ TEST_F(TracingTest, RemoteParentContinuesTheSendersTrace) {
   EXPECT_EQ(spans[1].parent_span_id, spans[0].span_id);
 }
 
+TEST_F(TracingTest, DetachedSpansOverlapWithoutTouchingTheThreadContext) {
+  // Two envelopes in flight together under one root: both are children of
+  // the root, neither becomes the thread-current context, a send inside a
+  // ScopedContext carries the span it names, and they may end in any order.
+  comm::MessageBus bus(2);
+  std::uint64_t root = 0, first_id = 0, second_id = 0;
+  {
+    Span fetch(SpanKind::kFetch, 0, 1);
+    root = fetch.context().span_id;
+    Span first = Span::detached(SpanKind::kMultiGet, 0, fetch.context(), 1);
+    Span second = Span::detached(SpanKind::kMultiGet, 0, fetch.context(), 2);
+    ASSERT_TRUE(first.active());
+    EXPECT_EQ(telemetry::current_trace_context().span_id, root);
+    first_id = first.context().span_id;
+    second_id = second.context().span_id;
+    {
+      const telemetry::ScopedContext on_wire(second.context());
+      EXPECT_EQ(telemetry::current_trace_context().span_id, second_id);
+      ASSERT_TRUE(bus.endpoint(0).send_value<int>(1, 9, 5).ok());
+    }
+    EXPECT_EQ(telemetry::current_trace_context().span_id, root);
+    Span moved(std::move(first));  // a moved span stays open, once
+    EXPECT_FALSE(first.active());
+    moved.end();
+    moved.end();
+    EXPECT_EQ(telemetry::current_trace_context().span_id, root);
+  }
+  EXPECT_FALSE(telemetry::current_trace_context().valid());
+
+  const auto stamped = bus.endpoint(1).recv_for(9, 1.0);
+  ASSERT_TRUE(stamped.ok());
+#if !defined(LOBSTER_TELEMETRY_DISABLED)
+  EXPECT_EQ(stamped->span_id, second_id);
+#endif
+  const auto spans = SpanLog::instance().snapshot();
+  ASSERT_EQ(spans.size(), 3U);  // first (ended early), second, fetch
+  EXPECT_EQ(spans[0].span_id, first_id);
+  EXPECT_EQ(spans[1].span_id, second_id);
+  EXPECT_EQ(spans[2].span_id, root);
+  EXPECT_EQ(spans[0].parent_span_id, root);
+  EXPECT_EQ(spans[1].parent_span_id, root);
+  EXPECT_EQ(spans[0].arg, 1U);
+
+  // With no parent, a detached span roots its own trace.
+  {
+    Span lone = Span::detached(SpanKind::kMultiGet, 0, TraceContext{}, 3);
+    EXPECT_TRUE(lone.active());
+    EXPECT_EQ(lone.context().parent_span_id, 0U);
+    EXPECT_FALSE(telemetry::current_trace_context().valid());
+  }
+}
+
 TEST_F(TracingTest, DisabledLogMakesSpansFree) {
   SpanLog::instance().set_enabled(false);
   Span fetch(SpanKind::kFetch, 0, 1);
