@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/perf_model.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "telemetry/registry.hpp"
 
@@ -29,24 +30,16 @@ data::SamplerConfig sampler_config_for(const JobSpec& spec, std::uint64_t datase
   return config;
 }
 
-/// One node's bytes per tier in one round of one job.
-struct Demand {
-  Bytes local = 0, remote = 0, pfs = 0;
-};
-
-/// The cluster model's one cost function: a round lasts as long as the
-/// slowest node's tier reads plus preprocessing, or the training step if
-/// that is longer. `pfs_bps` is the PFS share this job gets.
-double price_round(const std::vector<Demand>& demands, const TierRates& rates, double pfs_bps,
-                   double t_train) {
+/// A round lasts as long as the slowest node's tier reads plus
+/// preprocessing (core::flat_stage_times with one thread of each at full
+/// capacity), or the training step if that is longer. `rates` carries the
+/// PFS share this job gets.
+double price_round(const std::vector<storage::TierBytes>& demands,
+                   const core::FlatRates& rates, double t_train) {
   double slowest = 0.0;
   for (const auto& demand : demands) {
-    const Bytes total = demand.local + demand.remote + demand.pfs;
-    const double io = static_cast<double>(demand.local) / rates.local_bps +
-                      static_cast<double>(demand.remote) / rates.remote_bps +
-                      static_cast<double>(demand.pfs) / pfs_bps +
-                      static_cast<double>(total) / rates.preproc_bps;
-    slowest = std::max(slowest, std::max(t_train, io));
+    const auto [load, preproc] = core::flat_stage_times(demand, rates, 1.0, 1.0, 1.0);
+    slowest = std::max(slowest, std::max(t_train, load + preproc));
   }
   return slowest;
 }
@@ -64,7 +57,7 @@ struct IsolatedRun {
 /// reference stream every checkpointed/preempted/resized run must
 /// reproduce exactly.
 IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog,
-                         const TierRates& rates, double t_train, ZeroPayloads& payloads) {
+                         double t_train, ZeroPayloads& payloads) {
   const data::EpochSampler sampler(sampler_config_for(spec, catalog.size()));
   const std::uint32_t world = sampler.world_size();
   const std::uint32_t gpus = spec.gpus_per_node;
@@ -72,7 +65,7 @@ IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog
   cache::KvStore kv(4);
   cache::CacheDirectory directory(spec.nodes);
   KvBudgetArbiter arbiter(kv, 0, [](SampleId) { return kNeverIter; });
-  std::vector<Demand> demands(spec.nodes);
+  std::vector<storage::TierBytes> demands(spec.nodes);
 
   IsolatedRun result;
   for (std::uint32_t epoch = 0; epoch < spec.epochs; ++epoch) {
@@ -100,7 +93,7 @@ IsolatedRun run_isolated(const JobSpec& spec, const data::SampleCatalog& catalog
         }
         result.digest = delivery_digest_advance(result.digest, sample);
       }
-      result.run_s += price_round(demands, rates, rates.pfs_bps, t_train);
+      result.run_s += price_round(demands, core::kFlatRates, t_train);
       cursor += n;
     }
   }
@@ -202,7 +195,7 @@ struct ClusterRuntime::RunningJob {
   std::uint64_t digest = 0;
   std::uint64_t last_n = 0;  ///< window collect_demands priced this round
 
-  std::vector<Demand> demands;  ///< per local node, refilled every round
+  std::vector<storage::TierBytes> demands;  ///< per local node, refilled every round
   std::uint64_t round_delivered = 0;  ///< samples delivered this round
 
   bool done() const noexcept { return epoch >= epochs; }
@@ -593,8 +586,8 @@ ClusterResult ClusterRuntime::run() {
       const JobSpec& spec = manager_.record(outcome.id).spec;
       const auto catalog = catalog_for(spec, dataset_fingerprint(spec));
       const IsolatedRun isolated =
-          run_isolated(spec, *catalog, config_.rates,
-                       config_.t_train_s * model_train_scale(spec.model), payloads_);
+          run_isolated(spec, *catalog, config_.t_train_s * model_train_scale(spec.model),
+                       payloads_);
       outcome.isolated_s = isolated.run_s;
       outcome.isolated_pfs_reads = isolated.pfs_reads;
       outcome.isolated_digest = isolated.digest;
@@ -655,13 +648,13 @@ ClusterResult ClusterRuntime::run() {
         }
       }
     }
-    const double pfs_bps_effective =
-        config_.rates.pfs_bps / std::max<std::uint32_t>(pfs_jobs, 1);
+    // The PFS is divided evenly among the jobs that read it this round.
+    core::FlatRates rates = core::kFlatRates;
+    rates.pfs_bps /= std::max<std::uint32_t>(pfs_jobs, 1);
 
     double round_time = 0.0;
     for (RunningJob* job : executing) {
-      round_time = std::max(round_time, price_round(job->demands, config_.rates,
-                                                    pfs_bps_effective, job->t_train));
+      round_time = std::max(round_time, price_round(job->demands, rates, job->t_train));
     }
     clock_s_ += round_time;
 
@@ -674,9 +667,8 @@ ClusterResult ClusterRuntime::run() {
       JobRecord& record = manager_.record_mutable(job->id);
       ++record.iterations_done;
       ++outcomes_[job->id].iterations;
-      fairness_.observe_delivery(
-          job->id, record.spec.name, job->round_delivered,
-          price_round(job->demands, config_.rates, pfs_bps_effective, job->t_train));
+      fairness_.observe_delivery(job->id, record.spec.name, job->round_delivered,
+                                 price_round(job->demands, rates, job->t_train));
       if (job->done()) finished.push_back(job);
     }
     for (RunningJob* job : finished) {

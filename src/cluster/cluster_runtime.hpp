@@ -55,7 +55,6 @@
 #include "cluster/job.hpp"
 #include "cluster/namespace_registry.hpp"
 #include "cluster/scheduler.hpp"
-#include "common/tier_rates.hpp"
 #include "common/types.hpp"
 #include "data/dataset.hpp"
 #include "data/oracle.hpp"
@@ -116,7 +115,6 @@ struct ClusterConfig {
   PreemptionPolicy preemption;           ///< knobs for kFairSharePreemptive
   bool elastic_resize = true;            ///< epoch-boundary grow/shrink of elastic jobs
   Bytes kv_budget = 0;                   ///< global KV byte budget; 0 = unbounded
-  TierRates rates = TierRates::defaults();
   double t_train_s = 4e-3;               ///< base per-iteration compute time
   std::uint64_t starvation_rounds = 64;  ///< queue/preempted wait that flags starvation
   std::uint64_t max_rounds = 1u << 20;   ///< safety valve for the round loop

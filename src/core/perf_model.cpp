@@ -54,4 +54,19 @@ Seconds PerfModel::node_imbalance(const std::vector<GpuDemand>& demands,
   return hi - lo;
 }
 
+StageTimes flat_stage_times(const storage::TierBytes& bytes, const FlatRates& rates,
+                            double load_threads, double preproc_threads,
+                            double capacity_scale) {
+  // Operation order is part of the contract: golden outputs are pinned bit
+  // for bit, and x / 1.0 is exact, so the 1, 1, 1 call adds no rounding.
+  StageTimes times;
+  times.load = (static_cast<double>(bytes.local + bytes.ssd) / rates.local_bps +
+                static_cast<double>(bytes.remote) / rates.remote_bps +
+                static_cast<double>(bytes.pfs) / rates.pfs_bps) /
+               (load_threads * capacity_scale);
+  times.preproc = static_cast<double>(bytes.total()) /
+                  (rates.preproc_bps * preproc_threads * capacity_scale);
+  return times;
+}
+
 }  // namespace lobster::core

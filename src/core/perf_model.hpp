@@ -6,6 +6,9 @@
 //
 //   Eq. 2  t_dif(G)  = T_L + T_P − T_train            (per-GPU bottleneck gap)
 //   Eq. 3  imbalance = max_j T^{h,i,j} − min_j T^{h,i,j}   (node-level gap)
+//
+// The executor's and the cluster model's virtual time use Eq. 1's flat-rate
+// special case, flat_stage_times, defined once at the end of this header.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +68,36 @@ class PerfModel {
   const PreprocModelPortfolio& preproc_;
   Seconds t_train_;
 };
+
+/// Per-tier read rates and the preprocessing rate, in bytes/s, of Eq. 1's
+/// flat-rate special case.
+struct FlatRates {
+  double local_bps;    ///< node-local cache (DRAM or NVMe)
+  double remote_bps;   ///< a peer's cache over the interconnect
+  double pfs_bps;      ///< the parallel file system
+  double preproc_bps;  ///< decode + augment
+};
+
+/// The rates the executor and the cluster model price virtual time with:
+/// 10 GB/s local, 2 GB/s remote, 0.8 GB/s PFS, 0.9 GB/s preprocessing. This
+/// is Eq. 1 with every tier linear in threads: no knee, no per-request
+/// latency and no contention cap. That is why it is not a StorageModel
+/// preset, whose curves have all three.
+inline constexpr FlatRates kFlatRates{10e9, 2.0e9, 0.8e9, 0.9e9};
+
+/// One GPU's modeled loading and preprocessing time for an iteration.
+struct StageTimes {
+  Seconds load = 0.0;
+  Seconds preproc = 0.0;
+};
+
+/// Eq. 1 at flat rates, the one pricing of executor and cluster virtual
+/// time. Load time is the tier reads over `load_threads` (SSD bytes are
+/// node-local and read at the local rate); preprocessing time is every byte
+/// over `preproc_threads`. `capacity_scale` scales both rates (a throttled
+/// node). At 1, 1, 1 the two are the plain per-tier sums, exactly.
+StageTimes flat_stage_times(const storage::TierBytes& bytes, const FlatRates& rates,
+                            double load_threads, double preproc_threads,
+                            double capacity_scale);
 
 }  // namespace lobster::core

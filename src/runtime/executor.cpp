@@ -10,11 +10,12 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "cache/namespace.hpp"
 #include "common/logging.hpp"
 #include "common/payload_arena.hpp"
+#include "core/perf_model.hpp"
 #include "runtime/watchdog.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/registry.hpp"
@@ -69,7 +70,7 @@ void PlanExecutor::drain_chunk(const SampleId* first, const SampleId* last, Iter
     }
     misses.push_back(*it);
   }
-  accounting.local_bytes += local_bytes;
+  accounting.bytes.local += local_bytes;
   if (local_bytes > 0) {
     LOBSTER_TRACE_INSTANT(kExecutor, "fetch_local", local_bytes);
     LOBSTER_METRIC_COUNT("executor.local_bytes", local_bytes);
@@ -84,15 +85,8 @@ void PlanExecutor::drain_chunk(const SampleId* first, const SampleId* last, Iter
 
 void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, IterId iter,
                                  GpuAccounting& accounting) {
-  // Multi-tenant runs address the shared KV tier and directory with keys
-  // namespaced to the job's dataset (namespace 0 leaves the key untouched,
-  // so single-job runs are byte-identical). The manager's peer fetches stay
-  // in raw sample space: peers serve their own job's samples.
-  const auto tier_key = [this](SampleId sample) {
-    return job_.ns == 0 ? sample : cache::make_namespaced_key(job_.ns, sample);
-  };
   const auto deliver_remote = [&](SampleId sample, Bytes bytes) {
-    accounting.remote_bytes += bytes;
+    accounting.bytes.remote += bytes;
     ++accounting.remote_fetches;
     LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", bytes);
     LOBSTER_METRIC_COUNT("executor.remote_bytes", bytes);
@@ -114,9 +108,8 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
   for (const SampleId* it = first; it != last; ++it) {
     const SampleId sample = *it;
     const Bytes bytes = catalog_.sample_bytes(sample);
-    const SampleId key = tier_key(sample);
     if (kv_store_ != nullptr) {
-      auto kv = kv_store_->get(key);  // zero-copy: shared reference
+      auto kv = kv_store_->get(sample);  // zero-copy: shared reference
       if (kv.ok()) {
         if (!config_.verify_payloads || verify_sample_payload(sample, **kv)) {
           deliver_remote(sample, bytes);
@@ -124,7 +117,7 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
         }
         // Corruption quarantine (DESIGN.md §9): evict the bad entry so no
         // other worker is served it, then fall through to a fresh fetch.
-        (void)kv_store_->erase(key);
+        (void)kv_store_->erase(sample);
         quarantined_.fetch_add(1, std::memory_order_relaxed);
         LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
         telemetry::EventLog::instance().emit(telemetry::EventKind::kQuarantine,
@@ -132,7 +125,7 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
       }
     }
     // Without peer routing wired, a miss goes straight to the PFS.
-    const NodeId holder = routed ? directory_->peer_holder(key, config_.node, 0)
+    const NodeId holder = routed ? directory_->peer_holder(sample, config_.node, 0)
                                  : cache::CacheDirectory::kInvalidNode;
     if (holder == cache::CacheDirectory::kInvalidNode) {
       pfs_batch.push_back(sample);
@@ -151,14 +144,14 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
       const SampleId sample = pfs_batch[pfs_done];
       const Bytes bytes = catalog_.sample_bytes(sample);
       auto payload = make_sample_payload_shared(sample, bytes);
-      accounting.pfs_bytes += bytes;
+      accounting.bytes.pfs += bytes;
       ++accounting.pfs_fetches;
       LOBSTER_TRACE_INSTANT(kExecutor, "fetch_pfs", bytes);
       LOBSTER_METRIC_COUNT("executor.pfs_bytes", bytes);
       store_.insert(sample);
       // Best-effort publication: a capacity-bounded store may refuse (the
       // sample is still delivered locally either way).
-      if (kv_store_ != nullptr) (void)kv_store_->put(tier_key(sample), std::move(payload));
+      if (kv_store_ != nullptr) (void)kv_store_->put(sample, std::move(payload));
     }
   };
   if (pending.empty()) {
@@ -294,7 +287,7 @@ void PlanExecutor::execute_batch(const SampleId* first, const SampleId* last, It
     pending.clear();
     for (PeerMiss& miss : failed) {
       rerouted = true;
-      miss.holder = directory_->peer_holder(tier_key(miss.sample), config_.node, miss.exclude);
+      miss.holder = directory_->peer_holder(miss.sample, config_.node, miss.exclude);
       telemetry::Span::instant(telemetry::SpanKind::kDetour, config_.node, miss.sample,
                                miss.holder);
       if (miss.holder == cache::CacheDirectory::kInvalidNode) {
@@ -529,15 +522,9 @@ ExecutionReport PlanExecutor::run() {
     auto& registry = telemetry::MetricRegistry::instance();
     for (GpuId g = 0; g < gpus; ++g) {
       const auto& acct = accounting[g];
-      const double threads = gpu_threads[g];
-      const Seconds load = (static_cast<double>(acct.local_bytes) / config_.rates.local_bps +
-                            static_cast<double>(acct.remote_bytes) / config_.rates.remote_bps +
-                            static_cast<double>(acct.pfs_bytes) / config_.rates.pfs_bps) /
-                           (threads * capacity_scale);
+      const auto [load, preproc] = core::flat_stage_times(
+          acct.bytes, core::kFlatRates, gpu_threads[g], preproc_threads, capacity_scale);
       load_max = std::max(load_max, load);
-      const Bytes gpu_bytes = acct.local_bytes + acct.remote_bytes + acct.pfs_bytes;
-      const Seconds preproc = static_cast<double>(gpu_bytes) /
-                              (config_.rates.preproc_bps * preproc_threads * capacity_scale);
       preproc_max = std::max(preproc_max, preproc);
       stats.local_hits += acct.local_hits;
       stats.remote_fetches += acct.remote_fetches;
@@ -597,15 +584,6 @@ ExecutionReport PlanExecutor::run() {
   report.payload_failures = payload_failures_.load(std::memory_order_relaxed);
   report.quarantined_payloads = quarantined_.load(std::memory_order_relaxed);
   LOBSTER_METRIC_COUNT("executor.samples_delivered", report.samples_delivered);
-  if (!job_.metric_prefix.empty()) {
-    // Per-tenant slice of the same aggregates (dynamic names can't use the
-    // per-literal metric macros).
-    auto& registry = telemetry::MetricRegistry::instance();
-    registry.counter(job_.metric_prefix + "samples_delivered").add(report.samples_delivered);
-    registry.counter(job_.metric_prefix + "degraded_fetches").add(report.degraded_fetches);
-    registry.counter(job_.metric_prefix + "quarantined_payloads")
-        .add(report.quarantined_payloads);
-  }
   return report;
 }
 

@@ -25,15 +25,15 @@
 // chunk runs that path on the loading pool, overlapped with the next
 // iteration's enqueue.
 //
-// Stage timings are *accounted* in virtual time (bytes / tier rate) rather
-// than slept, so executor tests run in milliseconds; the performance story
-// lives in the pipeline simulator.
+// Stage timings are *accounted* in virtual time rather than slept, so
+// executor tests run in milliseconds: each GPU's tier bytes are priced by
+// core::flat_stage_times, the flat-rate case of Eq. 1. The performance
+// story lives in the pipeline simulator.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -41,7 +41,6 @@
 #include "cache/kv_store.hpp"
 #include "common/striped_set.hpp"
 #include "common/thread_pool.hpp"
-#include "common/tier_rates.hpp"
 #include "common/types.hpp"
 #include "core/feedback_balancer.hpp"
 #include "core/load_balance_config.hpp"
@@ -51,6 +50,7 @@
 #include "runtime/distribution_manager.hpp"
 #include "runtime/plan.hpp"
 #include "sim/capacity_profile.hpp"
+#include "storage/hierarchy.hpp"
 
 namespace lobster::runtime {
 
@@ -74,8 +74,6 @@ struct ExecutorConfig {
   /// cap stops oversubscribing physical cores; tests pin it explicitly to
   /// force real multi-threaded drains regardless of the host.
   core::LoadBalanceConfig balance;
-  /// Virtual fetch rates (bytes/s) per tier and preprocessing rate.
-  TierRates rates = TierRates::defaults();
   Seconds t_train = 13e-3;
   /// Verify each KV-tier hit before delivering it; a failing entry is
   /// evicted and re-fetched. Peer bytes are always verified once, inside
@@ -96,18 +94,6 @@ struct ExecutorConfig {
   /// checkpoint (file I/O) cannot fire a spurious stall or skew the
   /// trailing-median deadline.
   std::function<bool(IterId boundary)> checkpoint_hook;
-};
-
-/// Multi-tenant job context (DESIGN.md §10). When a job context is set,
-/// every shared-tier operation — KV gets/puts/erases and directory routing
-/// — addresses keys namespaced to the job's dataset, so several executors
-/// serving different jobs can share one KvStore/CacheDirectory without key
-/// collisions (and executors of jobs over the SAME dataset share entries on
-/// purpose). `metric_prefix` slices the run's registry aggregates by tenant
-/// (convention: "cluster.job/<name>/", see cluster::job_metric_prefix).
-struct JobContext {
-  std::uint32_t ns = 0;       ///< cache::NamespaceId; 0 = single-job default
-  std::string metric_prefix;  ///< empty = no per-job metrics
 };
 
 struct IterationExecution {
@@ -193,12 +179,6 @@ class PlanExecutor {
   /// concurrent queries.
   void set_directory(cache::CacheDirectory* directory) noexcept { directory_ = directory; }
 
-  /// Tags this executor with a tenant (DESIGN.md §10): shared-tier keys are
-  /// namespaced, and end-of-run aggregates are additionally published under
-  /// the job's metric prefix. Must be set before run().
-  void set_job_context(JobContext context) { job_ = std::move(context); }
-  const JobContext& job_context() const noexcept { return job_; }
-
   /// Iteration watchdog (DESIGN.md §9): when set, run() brackets every
   /// iteration with begin_iteration/end_iteration so the watchdog's
   /// deadline thread can flag iterations that exceed k× the trailing
@@ -221,9 +201,7 @@ class PlanExecutor {
 
  private:
   struct GpuAccounting {
-    std::uint64_t local_bytes = 0;
-    std::uint64_t remote_bytes = 0;
-    std::uint64_t pfs_bytes = 0;
+    storage::TierBytes bytes;
     std::uint32_t local_hits = 0;
     std::uint32_t remote_fetches = 0;
     std::uint32_t pfs_fetches = 0;
@@ -231,9 +209,9 @@ class PlanExecutor {
     std::uint32_t claimed = 0;  ///< demand samples claimed from this GPU's span
 
     void merge(const GpuAccounting& other) noexcept {
-      local_bytes += other.local_bytes;
-      remote_bytes += other.remote_bytes;
-      pfs_bytes += other.pfs_bytes;
+      bytes.local += other.bytes.local;
+      bytes.remote += other.bytes.remote;
+      bytes.pfs += other.bytes.pfs;
       local_hits += other.local_hits;
       remote_fetches += other.remote_fetches;
       pfs_fetches += other.pfs_fetches;
@@ -278,7 +256,6 @@ class PlanExecutor {
   cache::KvStore* kv_store_ = nullptr;
   cache::CacheDirectory* directory_ = nullptr;
   IterationWatchdog* watchdog_ = nullptr;
-  JobContext job_;
 
   /// Resident-sample set, striped so loading threads probing or inserting
   /// different samples never contend (the old single store mutex serialized

@@ -5,21 +5,6 @@
 #include "telemetry/trace_context.hpp"
 
 namespace lobster::telemetry {
-namespace {
-
-void append_hex_id(std::string& out, std::uint64_t id) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  out.push_back('"');
-  bool started = false;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    const auto nibble = (id >> shift) & 0xF;
-    if (nibble != 0) started = true;
-    if (started || shift == 0) out.push_back(kDigits[nibble]);
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 const char* event_kind_name(EventKind kind) noexcept {
   switch (kind) {
@@ -44,28 +29,6 @@ const char* event_kind_name(EventKind kind) noexcept {
 EventLog& EventLog::instance() {
   static EventLog log;
   return log;
-}
-
-void EventLog::set_capacity(std::size_t events) {
-  std::lock_guard lock(mutex_);
-  if (events == 0) events = 1;
-  std::vector<EventRecord> ordered;
-  ordered.reserve(ring_.size());
-  if (ring_.size() == capacity_ && head_ > capacity_) {
-    const auto start = head_ % capacity_;
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      ordered.push_back(ring_[(start + i) % capacity_]);
-    }
-  } else {
-    ordered = ring_;
-  }
-  if (ordered.size() > events) {
-    ordered.erase(ordered.begin(),
-                  ordered.begin() + static_cast<std::ptrdiff_t>(ordered.size() - events));
-  }
-  capacity_ = events;
-  ring_ = std::move(ordered);
-  head_ = ring_.size();
 }
 
 bool EventLog::open_stream(const std::string& path) {

@@ -73,8 +73,6 @@ class EventLog {
   bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
 
-  void set_capacity(std::size_t events);
-
   /// Opens a streaming JSONL sink; every subsequent emit appends one line.
   /// Returns false (and leaves streaming off) when the file can't open.
   bool open_stream(const std::string& path);

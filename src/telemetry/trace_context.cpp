@@ -13,9 +13,11 @@ namespace {
 // zeros is the valid "no trace" state.
 thread_local TraceContext g_current_context{};
 
+}  // namespace
+
+TraceContext current_trace_context() noexcept { return g_current_context; }
+
 void append_hex_id(std::string& out, std::uint64_t id) {
-  // Ids are serialized as hex strings: the analysis JSON parser stores
-  // numbers as doubles, which would silently truncate 64-bit ids.
   static constexpr char kDigits[] = "0123456789abcdef";
   out.push_back('"');
   bool started = false;
@@ -26,10 +28,6 @@ void append_hex_id(std::string& out, std::uint64_t id) {
   }
   out.push_back('"');
 }
-
-}  // namespace
-
-TraceContext current_trace_context() noexcept { return g_current_context; }
 
 const char* span_kind_name(SpanKind kind) noexcept {
   switch (kind) {

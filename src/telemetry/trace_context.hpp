@@ -52,6 +52,11 @@ struct TraceContext {
 /// MessageBus::do_send stamps this into every outgoing message.
 TraceContext current_trace_context() noexcept;
 
+/// Appends `id` as a quoted lowercase hex string. Span and event exporters
+/// write ids this way because the analysis JSON parser holds numbers as
+/// doubles, which would silently truncate 64-bit ids.
+void append_hex_id(std::string& out, std::uint64_t id);
+
 /// Span vocabulary. Fixed (not interned strings): the cross-node analyzer
 /// attributes time by kind, so the set is part of the lobster.spans.v1
 /// schema (tools/validate_metrics.py mirrors it).
@@ -186,7 +191,9 @@ class Span {
   TraceContext context() const noexcept;
 
   /// Zero-duration child of the thread-current context (detours, breaker
-  /// fast-fails). No-op when the log is disabled or no context is open.
+  /// fast-fails). Outside any context it roots a fresh trace of its own, so
+  /// a fast-fail of a bare fetch_remote_many is still recorded. No-op when
+  /// the log is disabled.
   static void instant(SpanKind kind, std::uint16_t rank, std::uint64_t arg = 0,
                       std::uint64_t arg2 = 0) noexcept;
 

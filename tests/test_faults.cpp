@@ -25,7 +25,6 @@
 #include "common/payload_arena.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
-#include "common/tier_rates.hpp"
 #include "data/dataset.hpp"
 #include "data/sampler.hpp"
 #include "runtime/distribution_manager.hpp"
@@ -298,21 +297,6 @@ TEST(FaultKvStore, GetReportsNotFoundAsTheCause) {
   const auto hit = store.get(9);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ((*hit)->size(), 16U);
-}
-
-// ---- TierRates presets.
-
-TEST(TierRatesPresets, NamedPresetsAreTheSanctionedValueSets) {
-  constexpr TierRates defaults = TierRates::defaults();
-  EXPECT_DOUBLE_EQ(defaults.local_bps, 10e9);
-  EXPECT_DOUBLE_EQ(defaults.remote_bps, 2.0e9);
-  EXPECT_DOUBLE_EQ(defaults.pfs_bps, 0.8e9);
-  EXPECT_DOUBLE_EQ(defaults.preproc_bps, 0.9e9);
-  // ExecutorConfig's default rates are exactly the shared preset — the
-  // numbers can no longer drift between executor and bench configs.
-  EXPECT_EQ(ExecutorConfig{}.rates, TierRates::defaults());
-  EXPECT_LT(TierRates::congested_network().remote_bps, defaults.remote_bps);
-  EXPECT_LT(TierRates::pfs_starved().pfs_bps, defaults.pfs_bps);
 }
 
 // ---- sim::Resource capacity scaling (virtual-time fault analogue).

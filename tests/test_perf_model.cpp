@@ -111,5 +111,57 @@ TEST_F(PerfModelFixture, ContentionRaisesLoadTime) {
   EXPECT_GT(model.load_time(demand, 2.0, heavy), model.load_time(demand, 2.0, light));
 }
 
+// ---- Eq. 1 at flat rates: the executor's and the cluster's virtual time.
+
+TEST(FlatStageTimes, RatesAreTheSanctionedValues) {
+  EXPECT_EQ(kFlatRates.local_bps, 10e9);
+  EXPECT_EQ(kFlatRates.remote_bps, 2.0e9);
+  EXPECT_EQ(kFlatRates.pfs_bps, 0.8e9);
+  EXPECT_EQ(kFlatRates.preproc_bps, 0.9e9);
+}
+
+TEST(FlatStageTimes, MatchesHandComputedTimesUnderThreadsAndThrottle) {
+  // One second per tier at one thread; 3 load threads at half capacity
+  // read 1.5x as fast, and 2 preprocessing threads at half capacity
+  // preprocess at the single-thread rate.
+  const storage::TierBytes bytes{.local = 10'000'000'000, .remote = 2'000'000'000,
+                                 .pfs = 800'000'000};
+  const StageTimes times = flat_stage_times(bytes, kFlatRates, 3.0, 2.0, 0.5);
+  EXPECT_DOUBLE_EQ(times.load, 3.0 / 1.5);
+  EXPECT_DOUBLE_EQ(times.preproc, 12.8e9 / 0.9e9);
+
+  // SSD bytes are node-local: read at the local rate, and preprocessed.
+  const StageTimes ssd =
+      flat_stage_times(storage::TierBytes{.ssd = 5'000'000'000}, kFlatRates, 1.0, 1.0, 1.0);
+  EXPECT_DOUBLE_EQ(ssd.load, 0.5);
+  EXPECT_DOUBLE_EQ(ssd.preproc, 5e9 / 0.9e9);
+}
+
+TEST(FlatStageTimes, UnitCallIsTheClusterRoundPriceBitForBit) {
+  // The cluster prices a node's round as one sum over tier reads and
+  // preprocessing, with the PFS rate split among its readers. The entry
+  // point at 1, 1, 1 must reproduce that sum exactly, not approximately:
+  // the cluster soaks' golden outputs depend on it.
+  const storage::TierBytes cases[] = {
+      {.local = 123'456'789, .remote = 98'765'431, .pfs = 1'000'003},
+      {.local = 1, .remote = 3, .pfs = 7},
+      {.local = 0, .remote = 999'999'937, .pfs = 0},
+      {.local = 4'294'967'311, .remote = 65'537, .pfs = 2'147'483'659},
+  };
+  for (const std::uint32_t pfs_jobs : {1U, 3U, 7U}) {
+    FlatRates rates = kFlatRates;
+    rates.pfs_bps /= pfs_jobs;
+    for (const auto& bytes : cases) {
+      const Bytes total = bytes.local + bytes.remote + bytes.pfs;
+      const double round = static_cast<double>(bytes.local) / 10e9 +
+                           static_cast<double>(bytes.remote) / 2.0e9 +
+                           static_cast<double>(bytes.pfs) / (0.8e9 / pfs_jobs) +
+                           static_cast<double>(total) / 0.9e9;
+      const StageTimes times = flat_stage_times(bytes, rates, 1.0, 1.0, 1.0);
+      EXPECT_EQ(times.load + times.preproc, round) << "pfs_jobs=" << pfs_jobs;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lobster::core

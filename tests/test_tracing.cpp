@@ -102,6 +102,14 @@ TEST_F(TracingTest, NestedSpansShareTheTraceAndChainParents) {
   EXPECT_EQ(spans[1].begin_us, spans[1].end_us);  // instant
   EXPECT_EQ(spans[2].kind, SpanKind::kFetch);
   for (const auto& span : spans) EXPECT_EQ(span.trace_id, trace);
+
+  // Outside any context an instant roots a fresh trace of its own.
+  Span::instant(SpanKind::kBreakerFastFail, 0, 42, 1);
+  const auto bare = SpanLog::instance().snapshot().back();
+  EXPECT_EQ(bare.kind, SpanKind::kBreakerFastFail);
+  EXPECT_EQ(bare.parent_span_id, 0U);
+  EXPECT_NE(bare.trace_id, 0U);
+  EXPECT_NE(bare.trace_id, trace);
 }
 
 TEST_F(TracingTest, RemoteParentContinuesTheSendersTrace) {

@@ -220,8 +220,7 @@ def main():
                         help="top-level scalar A must be strictly below scalar B")
     parser.add_argument("--gate-ratio", action="append", default=[],
                         metavar="A/B>=V",
-                        help="ratio of top-level scalars A/B must be >= V "
-                             "(perf-smoke scaling gates)")
+                        help="ratio of top-level scalars A/B must be >= V")
     args = parser.parse_args()
 
     if args.heartbeat:
