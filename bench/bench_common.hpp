@@ -14,6 +14,7 @@
 #include "common/strfmt.hpp"
 #include "common/table.hpp"
 #include "pipeline/simulator.hpp"
+#include "runtime/executor.hpp"
 #include "telemetry/analysis/json.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/events.hpp"
@@ -68,11 +69,12 @@ inline Config parse_args(int argc, char** argv) {
 /// interval; `heartbeat_jsonl=<path>` adds its JSONL sink;
 /// `heartbeat_gap_threshold=<frac>` tunes the straggler flag (default 0.1).
 ///
-/// Causal-tracing options (DESIGN.md §11): `spans=<path>` arms the span log
-/// and writes the cross-node span trees as `lobster.spans.v1` JSONL on
-/// destruction; `events=<path>` arms the structured event log streaming
-/// `lobster.events.v1` JSONL; `incident_dir=<dir>` creates a FlightRecorder
-/// fed by the monitor's heartbeats (anomaly flags trigger bundle dumps into
+/// Causal-tracing options (DESIGN.md §11) arm the Tracer, whose per-thread
+/// rings record the causal spans: `spans=<path>` writes the cross-node span
+/// trees as `lobster.spans.v1` JSONL on destruction; `events=<path>` arms
+/// the structured event log streaming `lobster.events.v1` JSONL;
+/// `incident_dir=<dir>` creates a FlightRecorder fed by the monitor's
+/// heartbeats (anomaly flags trigger bundle dumps into
 /// `<dir>/incident-NNN/`); `incident_force=1` force-triggers one bundle at
 /// shutdown when the run raised no anomaly, so CI always has an artifact to
 /// validate.
@@ -95,12 +97,13 @@ class TraceSession {
         heartbeat_ms > 0 || !heartbeat_jsonl.empty() || !incident_dir.empty();
     if (path_.empty() && !monitor_wanted && !causal_wanted) return;
 
-    // A trace request arms full event recording; a heartbeat-only request
-    // arms just the LOBSTER_METRIC_* aggregates (metrics-only mode), which
-    // keeps the monitor's overhead to atomic counter updates.
+    // A trace or causal request arms full recording (events and spans); a
+    // heartbeat-only request arms just the LOBSTER_METRIC_* aggregates
+    // (metrics-only mode), which keeps the monitor's overhead to atomic
+    // counter updates.
     auto& tracer = telemetry::Tracer::instance();
     if (capacity > 0) tracer.set_buffer_capacity(static_cast<std::size_t>(capacity));
-    if (!path_.empty()) {
+    if (!path_.empty() || causal_wanted) {
       tracer.set_enabled(true);
     } else {
       tracer.set_metrics_enabled(true);
@@ -114,8 +117,7 @@ class TraceSession {
     if (causal_wanted) {
       // Spans and events always arm together: events carry the trace id of
       // the span active when they fired, and an incident bundle snapshots
-      // both rings.
-      telemetry::SpanLog::instance().set_enabled(true);
+      // both.
       auto& events = telemetry::EventLog::instance();
       events.set_enabled(true);
       if (!events_path_.empty() && !events.open_stream(events_path_)) {
@@ -155,13 +157,14 @@ class TraceSession {
     tracer.set_enabled(false);
     tracer.set_metrics_enabled(false);
     if (!spans_path_.empty()) {
-      if (telemetry::SpanLog::instance().write_jsonl_file(spans_path_)) {
+      std::ofstream out(spans_path_);
+      telemetry::write_spans_jsonl(out, tracer.span_snapshot().records);
+      if (out.good()) {
         std::printf("(spans written to %s)\n", spans_path_.c_str());
       } else {
         std::fprintf(stderr, "warning: cannot write spans %s\n", spans_path_.c_str());
       }
     }
-    telemetry::SpanLog::instance().set_enabled(false);
     if (events_open_) {
       telemetry::EventLog::instance().close_stream();
       std::printf("(events written to %s)\n", events_path_.c_str());
@@ -206,6 +209,28 @@ struct MetricsRecord {
   double gpu_utilization = 0.0;
   double samples_per_s = 0.0;
 };
+
+/// Fills a MetricsRecord's hit ratio and GPU utilisation from the executor
+/// reports of one run (one per node), summed over the reports: local hits
+/// over demand requests, and iterations x `t_train` over modeled time.
+inline void fill_executor_shares(MetricsRecord& record,
+                                 const std::vector<runtime::ExecutionReport>& reports,
+                                 Seconds t_train) {
+  std::uint64_t hits = 0;
+  std::uint64_t demand = 0;
+  double train_s = 0.0;
+  double total_s = 0.0;
+  for (const auto& report : reports) {
+    for (const auto& iteration : report.iterations) {
+      hits += iteration.local_hits;
+      demand += iteration.demand_requests;
+    }
+    train_s += static_cast<double>(report.iterations.size()) * t_train;
+    total_s += report.virtual_total;
+  }
+  record.hit_ratio = demand > 0 ? static_cast<double>(hits) / static_cast<double>(demand) : 0.0;
+  record.gpu_utilization = total_s > 0.0 ? train_s / total_s : 0.0;
+}
 
 /// Fills a MetricsRecord from a simulation result, using the same
 /// aggregates as metrics::comparison_table (warm-epoch timing, hit ratio,

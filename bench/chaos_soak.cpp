@@ -130,7 +130,7 @@ struct SoakOutcome {
   std::uint64_t dropped_messages = 0;
   std::uint64_t watchdog_stalls = 0;
   runtime::RecoveryStats recovery;
-  std::vector<telemetry::analysis::LoadedSpan> loaded_spans;
+  std::vector<telemetry::SpanRecord> span_records;
   telemetry::analysis::SpanAnalysis spans;
 };
 
@@ -174,7 +174,7 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
                      telemetry::FlightRecorder* recorder) {
   // Each pass gets a fresh span/event window so the chaos analysis is not
   // polluted by the fault-free warm-up's traces.
-  telemetry::SpanLog::instance().clear();
+  telemetry::Tracer::instance().reset();
   telemetry::EventLog::instance().clear();
   const std::uint32_t num_samples = shape.nodes * shape.iters * shape.gpus * shape.batch;
   const data::SampleCatalog catalog(data::DatasetSpec::uniform(num_samples, shape.bytes), 7);
@@ -291,9 +291,8 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
   outcome.dropped_messages = fault.dropped_messages();
   outcome.watchdog_stalls = watchdog.stalls();
   outcome.recovery = recovery.stats();
-  outcome.loaded_spans = telemetry::analysis::spans_from_records(
-      telemetry::SpanLog::instance().snapshot());
-  outcome.spans = telemetry::analysis::analyze_spans(outcome.loaded_spans);
+  outcome.span_records = telemetry::Tracer::instance().span_snapshot().records;
+  outcome.spans = telemetry::analysis::analyze_spans(outcome.span_records);
   return outcome;
 }
 
@@ -308,6 +307,8 @@ bench::MetricsRecord record_for(const std::string& workload, const char* strateg
       outcome.wall_s > 0.0
           ? static_cast<double>(outcome.report.samples_delivered) / outcome.wall_s
           : 0.0;
+  // The soak runs at the executor's default t_train.
+  bench::fill_executor_shares(record, {outcome.report}, runtime::ExecutorConfig{}.t_train);
   return record;
 }
 
@@ -358,7 +359,7 @@ int main(int argc, char** argv) {
   // gate on the stitched span trees, not only on counters. TraceSession may
   // already have armed these (spans=/events=/incident_dir= options); arming
   // twice is harmless.
-  telemetry::SpanLog::instance().set_enabled(true);
+  telemetry::Tracer::instance().set_enabled(true);
   telemetry::EventLog::instance().set_enabled(true);
   telemetry::FlightRecorder* recorder = trace_session.flight_recorder();
 
@@ -417,14 +418,14 @@ int main(int argc, char** argv) {
   const double attribution_ratio = measured_s > 0.0 ? union_s / measured_s : 0.0;
   std::size_t degraded_well_formed = 0;
   for (const auto& trace : spans.traces) {
-    if (trace.degraded && trace.root_kind == "fetch" && trace.well_formed) {
+    if (trace.degraded && trace.root_kind == telemetry::SpanKind::kFetch && trace.well_formed) {
       ++degraded_well_formed;
     }
   }
   bench::emit(config, "chaos_fetch_latency", telemetry::analysis::fetch_latency_table(spans));
   bench::emit(config, "chaos_attribution", telemetry::analysis::span_attribution_table(spans));
   bench::emit(config, "chaos_slowest_traces",
-              telemetry::analysis::slowest_traces_table(spans, chaotic.loaded_spans, 5));
+              telemetry::analysis::slowest_traces_table(spans, chaotic.span_records, 5));
   std::printf("span trees: %zu fetches (%zu degraded, %zu stitched, %zu malformed); "
               "attribution union %.1f ms vs measured degraded overhead %.1f ms "
               "(ratio %.2f)\n",

@@ -40,6 +40,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Training time per iteration: I/O-bound on purpose, so imbalance is visible.
+constexpr Seconds kTrainS = 1e-4;
+
 struct ClusterShape {
   std::uint16_t nodes = 4;
   std::uint16_t gpus = 2;
@@ -142,7 +145,7 @@ RunOutcome run_cluster(const ClusterShape& shape, bool balanced) {
       runtime::ExecutorConfig config;
       config.node = n;
       config.balance.max_pool_threads = 2U * shape.gpus;
-      config.t_train = 1e-4;  // I/O-bound on purpose: imbalance is visible
+      config.t_train = kTrainS;
       config.verify_payloads = true;
       if (n == shape.straggler()) {
         config.capacity = sim::CapacityProfile::thermal_throttle(
@@ -301,6 +304,7 @@ int main(int argc, char** argv) {
   static_record.imbalanced_fraction = static_frac;
   static_record.samples_per_s =
       static_run.wall_s > 0.0 ? delivered_total(static_run) / static_run.wall_s : 0.0;
+  bench::fill_executor_shares(static_record, static_run.reports, kTrainS);
   metrics.add(static_record);
   bench::MetricsRecord balanced_record = static_record;
   balanced_record.strategy = "balanced";
@@ -308,6 +312,7 @@ int main(int argc, char** argv) {
   balanced_record.imbalanced_fraction = balanced_frac;
   balanced_record.samples_per_s =
       balanced_run.wall_s > 0.0 ? delivered_total(balanced_run) / balanced_run.wall_s : 0.0;
+  bench::fill_executor_shares(balanced_record, balanced_run.reports, kTrainS);
   balanced_record.speedup_vs_baseline =
       balanced_record.warm_epoch_time_s > 0.0
           ? static_record.warm_epoch_time_s / balanced_record.warm_epoch_time_s

@@ -1,6 +1,8 @@
 #include "telemetry/analysis/span_analysis.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,17 +15,57 @@
 namespace lobster::telemetry::analysis {
 namespace {
 
-std::string hex_id(std::uint64_t id) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  bool started = false;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    const auto nibble = (id >> shift) & 0xF;
-    if (nibble != 0) started = true;
-    if (started || shift == 0) out.push_back(kDigits[nibble]);
+/// Largest integer a JSON number (a double) carries exactly.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
+/// Field decoders for one `lobster.spans.v1` line; each throws with the
+/// line number instead of letting a hostile value reach a cast.
+struct SpanLine {
+  const JsonValue& value;
+  std::size_t line_no;
+
+  [[noreturn]] void reject(const std::string& what) const {
+    throw std::runtime_error("spans line " + std::to_string(line_no) + ": " + what);
   }
-  return out;
-}
+
+  const JsonValue& field(const char* key, JsonValue::Type type) const {
+    const auto it = value.object.find(key);
+    if (it == value.object.end()) reject(std::string("missing \"") + key + "\"");
+    if (it->second.type != type) reject(std::string("\"") + key + "\" has the wrong type");
+    return it->second;
+  }
+
+  std::uint64_t hex_id(const char* key) const {
+    const std::string& text = field(key, JsonValue::Type::kString).string;
+    std::uint64_t id = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, id, 16);
+    if (text.empty() || text.size() > 16 || error != std::errc{} || stop != end) {
+      reject(std::string("\"") + key + "\" is not 1 to 16 hex digits");
+    }
+    return id;
+  }
+
+  std::uint64_t integer(const char* key, std::uint64_t max) const {
+    const double number = field(key, JsonValue::Type::kNumber).number;
+    // Written so that NaN fails the range test too.
+    if (!(number >= 0.0 && number <= static_cast<double>(max)) || number != std::floor(number)) {
+      reject(std::string("\"") + key + "\" is not an integer in [0, " + std::to_string(max) +
+             "]");
+    }
+    return static_cast<std::uint64_t>(number);
+  }
+
+  /// Decodes a name through `name_of` over the enum's `count` values.
+  template <typename Enum>
+  Enum named(const char* key, std::uint8_t count, const char* (*name_of)(Enum)) const {
+    const std::string& name = field(key, JsonValue::Type::kString).string;
+    for (std::uint8_t i = 0; i < count; ++i) {
+      if (name == name_of(static_cast<Enum>(i))) return static_cast<Enum>(i);
+    }
+    reject(std::string("unknown ") + key + " \"" + name + "\"");
+  }
+};
 
 double percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -53,41 +95,43 @@ double union_length_us(std::vector<std::pair<std::uint64_t, std::uint64_t>>& int
 
 }  // namespace
 
-std::vector<LoadedSpan> load_spans(const std::string& jsonl_text) {
-  std::vector<LoadedSpan> spans;
+std::vector<SpanRecord> load_spans(const std::string& jsonl_text) {
+  std::vector<SpanRecord> spans;
   std::istringstream in(jsonl_text);
-  std::string line;
+  std::string text;
   std::size_t line_no = 0;
-  while (std::getline(in, line)) {
+  while (std::getline(in, text)) {
     ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (text.find_first_not_of(" \t\r") == std::string::npos) continue;
     JsonValue value;
     try {
-      value = parse_json(line);
+      value = parse_json(text);
     } catch (const std::exception& e) {
       throw std::runtime_error("spans line " + std::to_string(line_no) + ": " + e.what());
     }
-    if (value.get_string("schema") != "lobster.spans.v1") {
-      throw std::runtime_error("spans line " + std::to_string(line_no) +
-                               ": schema != lobster.spans.v1");
+    const SpanLine line{value, line_no};
+    if (!value.is_object() || value.get_string("schema") != "lobster.spans.v1") {
+      line.reject("schema != lobster.spans.v1");
     }
-    LoadedSpan span;
-    span.trace = value.get_string("trace", "0");
-    span.span = value.get_string("span", "0");
-    span.parent = value.get_string("parent", "0");
-    span.kind = value.get_string("kind");
-    span.status = value.get_string("status", "ok");
-    span.rank = static_cast<std::uint16_t>(value.get_number("rank"));
-    span.begin_us = static_cast<std::uint64_t>(value.get_number("begin_us"));
-    span.end_us = static_cast<std::uint64_t>(value.get_number("end_us"));
-    span.arg = static_cast<std::uint64_t>(value.get_number("arg"));
-    span.arg2 = static_cast<std::uint64_t>(value.get_number("arg2"));
-    spans.push_back(std::move(span));
+    SpanRecord span;
+    span.trace_id = line.hex_id("trace");
+    span.span_id = line.hex_id("span");
+    span.parent_span_id = line.hex_id("parent");
+    span.kind = line.named("kind", static_cast<std::uint8_t>(SpanKind::kKindCount),
+                           &span_kind_name);
+    span.status = line.named("status", static_cast<std::uint8_t>(StatusCode::kInvalid) + 1,
+                             &status_code_name);
+    span.rank = static_cast<std::uint16_t>(line.integer("rank", 0xFFFF));
+    span.begin_us = line.integer("begin_us", kMaxExactInteger);
+    span.end_us = line.integer("end_us", kMaxExactInteger);
+    span.arg = line.integer("arg", kMaxExactInteger);
+    span.arg2 = line.integer("arg2", kMaxExactInteger);
+    spans.push_back(span);
   }
   return spans;
 }
 
-std::vector<LoadedSpan> load_spans_file(const std::string& path) {
+std::vector<SpanRecord> load_spans_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open spans file: " + path);
   std::ostringstream buffer;
@@ -95,32 +139,12 @@ std::vector<LoadedSpan> load_spans_file(const std::string& path) {
   return load_spans(buffer.str());
 }
 
-std::vector<LoadedSpan> spans_from_records(const std::vector<SpanRecord>& records) {
-  std::vector<LoadedSpan> spans;
-  spans.reserve(records.size());
-  for (const auto& record : records) {
-    LoadedSpan span;
-    span.trace = hex_id(record.trace_id);
-    span.span = hex_id(record.span_id);
-    span.parent = hex_id(record.parent_span_id);
-    span.kind = span_kind_name(record.kind);
-    span.status = status_code_name(record.status);
-    span.rank = record.rank;
-    span.begin_us = record.begin_us;
-    span.end_us = record.end_us;
-    span.arg = record.arg;
-    span.arg2 = record.arg2;
-    spans.push_back(std::move(span));
-  }
-  return spans;
-}
-
-SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
+SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
   SpanAnalysis analysis;
   analysis.total_spans = spans.size();
 
-  std::unordered_map<std::string, std::vector<const LoadedSpan*>> by_trace;
-  for (const auto& span : spans) by_trace[span.trace].push_back(&span);
+  std::unordered_map<std::uint64_t, std::vector<const SpanRecord*>> by_trace;
+  for (const auto& span : spans) by_trace[span.trace_id].push_back(&span);
 
   // iter -> wasted wall intervals across ALL degraded fetch traces; merged
   // as a union so overlapping worker timeouts count once.
@@ -128,21 +152,21 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
 
   for (auto& [trace_id, members] : by_trace) {
     std::sort(members.begin(), members.end(),
-              [](const LoadedSpan* a, const LoadedSpan* b) {
+              [](const SpanRecord* a, const SpanRecord* b) {
                 return a->begin_us < b->begin_us;
               });
     TraceSummary summary;
     summary.trace_id = trace_id;
     summary.spans = members.size();
 
-    std::unordered_set<std::string> ids;
+    std::unordered_set<std::uint64_t> ids;
     std::set<std::uint16_t> ranks;
-    const LoadedSpan* root = nullptr;
+    const SpanRecord* root = nullptr;
     std::size_t roots = 0;
     for (const auto* span : members) {
-      ids.insert(span->span);
+      ids.insert(span->span_id);
       ranks.insert(span->rank);
-      if (span->parent == "0") {
+      if (span->parent_span_id == 0) {
         ++roots;
         if (root == nullptr) root = span;
       }
@@ -150,7 +174,9 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
     summary.ranks = ranks.size();
     bool parents_resolve = true;
     for (const auto* span : members) {
-      if (span->parent != "0" && !ids.contains(span->parent)) parents_resolve = false;
+      if (span->parent_span_id != 0 && !ids.contains(span->parent_span_id)) {
+        parents_resolve = false;
+      }
     }
     summary.well_formed = roots == 1 && parents_resolve;
     if (root != nullptr) {
@@ -167,12 +193,14 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
     // a healthy fetch would not have made).
     std::uint64_t first_detour_us = ~0ULL;
     for (const auto* span : members) {
-      if (span->kind == "detour") first_detour_us = std::min(first_detour_us, span->begin_us);
+      if (span->kind == SpanKind::kDetour) {
+        first_detour_us = std::min(first_detour_us, span->begin_us);
+      }
     }
     std::vector<std::pair<std::uint64_t, std::uint64_t>> wasted;
     for (const auto* span : members) {
-      const bool failed = span->status != "ok";
-      if (span->kind == "attempt") {
+      const bool failed = span->status != StatusCode::kOk;
+      if (span->kind == SpanKind::kAttempt) {
         ++summary.attempts;
         if (failed) {
           summary.degraded = true;
@@ -182,21 +210,21 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
           summary.detour_us += span->duration_us();
           wasted.emplace_back(span->begin_us, span->end_us);
         }
-      } else if (span->kind == "backoff") {
+      } else if (span->kind == SpanKind::kBackoff) {
         summary.degraded = true;
         summary.timeout_us += span->duration_us();
         wasted.emplace_back(span->begin_us, span->end_us);
-      } else if (span->kind == "detour") {
+      } else if (span->kind == SpanKind::kDetour) {
         summary.degraded = true;
         ++summary.detours;
-      } else if (span->kind == "pfs_fallback") {
+      } else if (span->kind == SpanKind::kPfsFallback) {
         // NOT a degradation marker by itself: planned PFS-tier fetches (and
         // remote requests with no recorded holder) take this span on the
         // happy path. It only becomes wasted time when the trace also shows
         // a failure (failed attempt / detour / fast-fail).
         summary.pfs_us += span->duration_us();
         wasted.emplace_back(span->begin_us, span->end_us);
-      } else if (span->kind == "breaker_fast_fail") {
+      } else if (span->kind == SpanKind::kBreakerFastFail) {
         summary.degraded = true;
         ++summary.fast_fails;
       }
@@ -207,20 +235,20 @@ SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans) {
     // child on another rank; merely touching two ranks is true of every
     // batch that reached a peer.
     if (first_detour_us != ~0ULL) {
-      std::unordered_map<std::string, std::uint16_t> rerouted_attempts;  // span -> rank
+      std::unordered_map<std::uint64_t, std::uint16_t> rerouted_attempts;  // span -> rank
       for (const auto* span : members) {
-        if (span->kind == "attempt" && span->begin_us >= first_detour_us) {
-          rerouted_attempts.emplace(span->span, span->rank);
+        if (span->kind == SpanKind::kAttempt && span->begin_us >= first_detour_us) {
+          rerouted_attempts.emplace(span->span_id, span->rank);
         }
       }
       for (const auto* span : members) {
-        if (span->kind != "serve") continue;
-        const auto it = rerouted_attempts.find(span->parent);
+        if (span->kind != SpanKind::kServe) continue;
+        const auto it = rerouted_attempts.find(span->parent_span_id);
         if (it != rerouted_attempts.end() && it->second != span->rank) summary.stitched = true;
       }
     }
 
-    if (summary.root_kind == "fetch") {
+    if (summary.root_kind == SpanKind::kFetch) {
       ++analysis.fetch_traces;
       if (summary.degraded) {
         ++analysis.degraded_fetches;
@@ -263,7 +291,7 @@ Table fetch_latency_table(const SpanAnalysis& analysis) {
   };
   std::vector<double> all, healthy, degraded;
   for (const auto& trace : analysis.traces) {
-    if (trace.root_kind != "fetch") continue;
+    if (trace.root_kind != SpanKind::kFetch) continue;
     all.push_back(trace.duration_us);
     (trace.degraded ? degraded : healthy).push_back(trace.duration_us);
   }
@@ -290,10 +318,10 @@ Table span_attribution_table(const SpanAnalysis& analysis) {
 }
 
 Table slowest_traces_table(const SpanAnalysis& analysis,
-                           const std::vector<LoadedSpan>& spans, std::size_t top_n) {
+                           const std::vector<SpanRecord>& spans, std::size_t top_n) {
   std::vector<const TraceSummary*> fetches;
   for (const auto& trace : analysis.traces) {
-    if (trace.root_kind == "fetch") fetches.push_back(&trace);
+    if (trace.root_kind == SpanKind::kFetch) fetches.push_back(&trace);
   }
   std::sort(fetches.begin(), fetches.end(),
             [](const TraceSummary* a, const TraceSummary* b) {
@@ -301,34 +329,36 @@ Table slowest_traces_table(const SpanAnalysis& analysis,
             });
   if (fetches.size() > top_n) fetches.resize(top_n);
 
-  std::unordered_map<std::string, std::vector<const LoadedSpan*>> by_trace;
-  for (const auto& span : spans) by_trace[span.trace].push_back(&span);
+  std::unordered_map<std::uint64_t, std::vector<const SpanRecord*>> by_trace;
+  for (const auto& span : spans) by_trace[span.trace_id].push_back(&span);
 
   Table table({"trace", "routed", "iter", "rank", "ms", "degraded", "path"});
   for (const auto* trace : fetches) {
     auto members = by_trace[trace->trace_id];
     std::sort(members.begin(), members.end(),
-              [](const LoadedSpan* a, const LoadedSpan* b) {
+              [](const SpanRecord* a, const SpanRecord* b) {
                 return a->begin_us < b->begin_us;
               });
     // The begin-ordered child chain reads as the fetch's critical path:
     // attempts block their parent and backoffs/fallbacks are sequential.
     std::string path;
     for (const auto* span : members) {
-      if (span->parent == "0") continue;
+      if (span->parent_span_id == 0) continue;
       if (!path.empty()) path += " > ";
-      path += span->kind;
-      if (span->kind == "attempt" || span->kind == "serve") {
+      path += span_kind_name(span->kind);
+      if (span->kind == SpanKind::kAttempt || span->kind == SpanKind::kServe) {
         path += '@';
         path += std::to_string(span->rank);
       }
-      if (span->status != "ok") {
+      if (span->status != StatusCode::kOk) {
         path += '(';
-        path += span->status;
+        path += status_code_name(span->status);
         path += ')';
       }
     }
-    table.add_row({trace->trace_id, std::to_string(trace->sample),
+    std::string trace_id;
+    append_hex_id(trace_id, trace->trace_id);
+    table.add_row({std::move(trace_id), std::to_string(trace->sample),
                    std::to_string(trace->iter), std::to_string(trace->root_rank),
                    Table::num(trace->duration_us / 1e3),
                    trace->degraded ? "yes" : "no", path});

@@ -1,6 +1,7 @@
 // Cross-node span stitching and degraded-fetch attribution (DESIGN.md §11).
 //
-// Input: `lobster.spans.v1` JSONL (or in-memory SpanRecords). Output: one
+// Input: SpanRecords, from a live Tracer snapshot or decoded from
+// `lobster.spans.v1` JSONL by load_spans. Output: one
 // TraceSummary per trace_id — well-formedness (exactly one root, every
 // parent resolves inside the trace), cross-rank reach, degradation
 // classification, and a per-trace attribution of where the wasted time
@@ -13,12 +14,13 @@
 // time, so summing durations would overcount the slowdown actually visible
 // at the barrier.
 //
-// Ids stay exact: the JSON parser holds numbers as doubles, so spans are
-// keyed by their hex-string ids end to end.
+// Ids stay exact: the JSONL carries them as hex strings (the JSON parser
+// holds numbers as doubles), and load_spans decodes them to integers.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,35 +30,18 @@
 
 namespace lobster::telemetry::analysis {
 
-/// One span as loaded from JSONL — ids as exact hex strings.
-struct LoadedSpan {
-  std::string trace;
-  std::string span;
-  std::string parent;  ///< "0" for roots
-  std::string kind;
-  std::string status;
-  std::uint16_t rank = 0;
-  std::uint64_t begin_us = 0;
-  std::uint64_t end_us = 0;
-  std::uint64_t arg = 0;
-  std::uint64_t arg2 = 0;
-
-  double duration_us() const noexcept {
-    return end_us >= begin_us ? static_cast<double>(end_us - begin_us) : 0.0;
-  }
-};
-
-/// Parses `lobster.spans.v1` JSONL text. Throws std::runtime_error on a
-/// malformed line or schema mismatch (line number in the message).
-std::vector<LoadedSpan> load_spans(const std::string& jsonl_text);
-std::vector<LoadedSpan> load_spans_file(const std::string& path);
-/// Converts in-memory records (same hex-string id encoding as the JSONL).
-std::vector<LoadedSpan> spans_from_records(const std::vector<SpanRecord>& records);
+/// Decodes `lobster.spans.v1` JSONL text. Throws std::runtime_error, with
+/// the line number, on a malformed line, a schema mismatch, a missing
+/// field, an id that is not 1 to 16 hex digits, an unknown kind or status
+/// name, or a number that is negative, fractional or out of range (rank
+/// past 65535, any other past 2^53).
+std::vector<SpanRecord> load_spans(const std::string& jsonl_text);
+std::vector<SpanRecord> load_spans_file(const std::string& path);
 
 /// Per-trace verdict and attribution.
 struct TraceSummary {
-  std::string trace_id;
-  std::string root_kind;     ///< "" when the trace has no root (malformed)
+  std::uint64_t trace_id = 0;
+  std::optional<SpanKind> root_kind;  ///< empty when the trace has no root (malformed)
   std::uint16_t root_rank = 0;
   std::uint64_t sample = 0;  ///< root arg (a kFetch root: samples routed to peers)
   std::uint64_t iter = 0;    ///< root arg2
@@ -78,9 +63,9 @@ struct TraceSummary {
 };
 
 struct SpanAnalysis {
-  std::vector<TraceSummary> traces;  ///< all traces, oldest root first
+  std::vector<TraceSummary> traces;  ///< all traces, by trace id
   std::size_t total_spans = 0;
-  std::size_t fetch_traces = 0;      ///< traces rooted in a "fetch" span
+  std::size_t fetch_traces = 0;      ///< traces rooted in a kFetch span
   std::size_t degraded_fetches = 0;
   std::size_t cross_rank_fetches = 0;  ///< fetch traces that are stitched
   std::size_t malformed_traces = 0;
@@ -94,7 +79,7 @@ struct SpanAnalysis {
   double union_overhead_us = 0.0;  ///< sum over iteration_overhead_us
 };
 
-SpanAnalysis analyze_spans(const std::vector<LoadedSpan>& spans);
+SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans);
 
 /// Fetch-latency distribution: all / healthy / degraded rows with count,
 /// mean, p50, p95, max (milliseconds).
@@ -106,6 +91,6 @@ Table span_attribution_table(const SpanAnalysis& analysis);
 
 /// Top-N slowest fetch traces with their critical-path chain.
 Table slowest_traces_table(const SpanAnalysis& analysis,
-                           const std::vector<LoadedSpan>& spans, std::size_t top_n);
+                           const std::vector<SpanRecord>& spans, std::size_t top_n);
 
 }  // namespace lobster::telemetry::analysis

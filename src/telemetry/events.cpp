@@ -99,9 +99,9 @@ void EventLog::append_json(std::string& out, const EventRecord& event) {
   out += ",\"ts_us\":" + std::to_string(event.ts_us);
   out += ",\"kind\":\"";
   out += event_kind_name(event.kind);
-  out += "\",\"trace\":";
+  out += "\",\"trace\":\"";
   append_hex_id(out, event.trace_id);
-  out += ",\"node\":" + std::to_string(event.node);
+  out += "\",\"node\":" + std::to_string(event.node);
   out += ",\"a\":" + std::to_string(event.a);
   out += ",\"b\":" + std::to_string(event.b);
   out += ",\"detail\":";

@@ -8,10 +8,11 @@
 // bundle can jump from "breaker 2 opened" straight to the fetch trace that
 // tripped it.
 //
-// Same cost model as SpanLog: one relaxed atomic load when disabled, a
-// mutex-guarded bounded ring (+ optional streaming JSONL sink) when on.
-// Event volume is per state transition — orders of magnitude below sample
-// throughput — so a mutex is the right tool.
+// Cost model: one relaxed atomic load when disabled, a mutex-guarded
+// bounded ring (+ optional streaming JSONL sink) when on. Event volume is
+// per state transition — orders of magnitude below sample throughput — so
+// one process-wide mutex is the right tool; causal spans, which come per
+// remote fetch, ride the Tracer's per-thread rings instead.
 #pragma once
 
 #include <atomic>

@@ -43,9 +43,10 @@ IncidentResult FlightRecorder::trigger(const std::string& reason) {
     heartbeats.assign(heartbeats_.begin(), heartbeats_.end());
   }
 
-  // Freeze the shared rings OUTSIDE our own lock: SpanLog/EventLog have
-  // their own mutexes and producers keep running during the dump.
-  const auto spans = SpanLog::instance().snapshot();
+  // Freeze the shared rings OUTSIDE our own lock: producers keep running
+  // during the dump, and the Tracer's span rings and the EventLog each copy
+  // under locks of their own.
+  const SpanSnapshot spans = Tracer::instance().span_snapshot();
   const auto events = EventLog::instance().snapshot();
 
   char name[32];
@@ -65,13 +66,7 @@ IncidentResult FlightRecorder::trigger(const std::string& reason) {
 
   {
     std::ofstream out(dir / "spans.jsonl");
-    std::string line;
-    for (const auto& span : spans) {
-      line.clear();
-      SpanLog::append_json(line, span);
-      line.push_back('\n');
-      out << line;
-    }
+    write_spans_jsonl(out, spans.records);
   }
   {
     std::ofstream out(dir / "events.jsonl");
@@ -93,10 +88,10 @@ IncidentResult FlightRecorder::trigger(const std::string& reason) {
   analysis::append_json_quoted(manifest, reason);
   manifest += ",\"seq\":" + std::to_string(seq);
   manifest += ",\"ts_us\":" + std::to_string(now_us);
-  manifest += ",\"spans\":" + std::to_string(spans.size());
+  manifest += ",\"spans\":" + std::to_string(spans.records.size());
   manifest += ",\"events\":" + std::to_string(events.size());
   manifest += ",\"heartbeats\":" + std::to_string(heartbeats.size());
-  manifest += ",\"spans_dropped\":" + std::to_string(SpanLog::instance().dropped());
+  manifest += ",\"spans_dropped\":" + std::to_string(spans.dropped);
   manifest += ",\"config\":" +
               (config_.config_echo_json.empty() ? std::string("{}")
                                                 : config_.config_echo_json);

@@ -5,9 +5,11 @@
 // four fetches detoured — has been overwritten in the bounded rings or
 // diluted across a million healthy samples. The flight recorder closes it
 // the way an aircraft FDR does: it continuously observes the bounded
-// recent-history rings (SpanLog, EventLog, plus its own heartbeat ring fed
-// by the Monitor) and, when an anomaly fires, freezes them into a
-// self-contained **incident bundle** on disk:
+// recent-history rings (the Tracer's per-thread span rings, the EventLog,
+// plus its own heartbeat ring fed by the Monitor) and, when an anomaly
+// fires, freezes them into a self-contained **incident bundle** on disk.
+// It snapshots while the drain, prefetch and lane threads keep recording,
+// which the span rings' per-ring locks make race-free:
 //
 //   <out_dir>/incident-NNN/
 //     manifest.json    lobster.incident.v1: reason, trigger time, counts,

@@ -1,14 +1,20 @@
 #include "telemetry/telemetry.hpp"
 
+#include <algorithm>
+
+#include "common/rng.hpp"
+
 namespace lobster::telemetry {
 
 thread_local TraceBuffer* Tracer::tls_buffer_ = nullptr;
+thread_local Tracer::SpanRing* Tracer::tls_spans_ = nullptr;
 thread_local std::uint32_t Tracer::tls_track_ = 0;
 thread_local Tracer::VirtualContext Tracer::tls_virtual_{};
 
 namespace {
-/// Default per-thread ring: 16Ki records x 48B = 768KiB. Benches can raise
-/// it (bench_common's trace_buffer=<n>) for long timelines.
+/// Default per-thread ring: 16Ki records (768KiB of events, 1MiB of spans
+/// once the thread opens one). Benches can raise it (bench_common's
+/// trace_buffer=<n>) for long timelines.
 constexpr std::size_t kDefaultBufferCapacity = std::size_t{1} << 14;
 }  // namespace
 
@@ -41,8 +47,8 @@ std::uint32_t Tracer::new_track(std::string_view name) {
   return id;
 }
 
-void Tracer::set_buffer_capacity(std::size_t events) noexcept {
-  buffer_capacity_.store(events < 8 ? 8 : events, std::memory_order_relaxed);
+void Tracer::set_buffer_capacity(std::size_t records) noexcept {
+  buffer_capacity_.store(records < 8 ? 8 : records, std::memory_order_relaxed);
 }
 
 std::uint64_t Tracer::wall_now_us() const noexcept {
@@ -56,15 +62,17 @@ TraceBuffer& Tracer::thread_buffer() {
   if (buffer != nullptr) return *buffer;
   // First event from this thread: allocate its ring and a named track.
   // Buffers are owned by the tracer and never freed, so events emitted by
-  // pool workers survive the workers themselves.
+  // pool workers survive the workers themselves. The ring is built outside
+  // the lock, so threads starting together do not queue behind each
+  // other's allocation.
+  auto owned = std::make_unique<TraceBuffer>(buffer_capacity_.load(std::memory_order_relaxed));
+  buffer = owned.get();
   std::uint32_t track = 0;
   {
     const std::scoped_lock lock(mutex_);
     track = static_cast<std::uint32_t>(tracks_.size());
     tracks_.push_back("thread-" + std::to_string(buffers_.size()));
-    buffers_.push_back(
-        std::make_unique<TraceBuffer>(buffer_capacity_.load(std::memory_order_relaxed)));
-    buffer = buffers_.back().get();
+    buffers_.push_back(std::move(owned));
   }
   tls_buffer_ = buffer;
   tls_track_ = track;
@@ -187,17 +195,61 @@ void Tracer::counter_auto(Category category, std::uint32_t name, double value) n
   }
 }
 
+void Tracer::record_span(const SpanRecord& span) noexcept {
+  SpanRing* spans = tls_spans_;
+  if (spans == nullptr) {
+    // First span from this thread: its ring lives as long as the tracer,
+    // like the event ring, so spans of finished workers stay readable.
+    auto owned = std::make_unique<SpanRing>(buffer_capacity_.load(std::memory_order_relaxed));
+    spans = owned.get();
+    tls_spans_ = spans;
+    const std::scoped_lock lock(mutex_);
+    span_rings_.push_back(std::move(owned));
+  }
+  const std::scoped_lock lock(spans->mutex);
+  spans->ring.emit(span);
+}
+
+std::uint64_t Tracer::next_id() noexcept {
+  // splitmix64 over a shared counter: each fetch_add claims a distinct
+  // state, so concurrent callers get distinct (and well-mixed) ids.
+  std::uint64_t state =
+      id_state_.fetch_add(0x9E3779B97F4A7C15ULL, std::memory_order_relaxed);
+  const std::uint64_t id = splitmix64(state);
+  return id != 0 ? id : 1;
+}
+
+SpanSnapshot Tracer::span_snapshot() const {
+  SpanSnapshot snap;
+  {
+    const std::scoped_lock lock(mutex_);
+    for (const auto& spans : span_rings_) {
+      const std::scoped_lock ring_lock(spans->mutex);
+      spans->ring.snapshot(snap.records);
+      snap.dropped += spans->ring.dropped();
+    }
+  }
+  // Each ring is already in end order; a stable sort merges them and keeps
+  // one thread's same-microsecond spans in the order they closed.
+  std::stable_sort(snap.records.begin(), snap.records.end(),
+                   [](const SpanRecord& a, const SpanRecord& b) { return a.end_us < b.end_us; });
+  return snap;
+}
+
 TraceSnapshot Tracer::snapshot() const {
   TraceSnapshot snap;
-  const std::scoped_lock lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    buffer->snapshot(snap.events);
-    snap.dropped += buffer->dropped();
-    snap.emitted += buffer->emitted();
+  {
+    const std::scoped_lock lock(mutex_);
+    for (const auto& buffer : buffers_) {
+      buffer->snapshot(snap.events);
+      snap.dropped += buffer->dropped();
+      snap.emitted += buffer->emitted();
+    }
+    snap.names = names_;
+    snap.tracks = tracks_;
+    snap.buffers = static_cast<std::uint32_t>(buffers_.size());
   }
-  snap.names = names_;
-  snap.tracks = tracks_;
-  snap.buffers = static_cast<std::uint32_t>(buffers_.size());
+  snap.spans = span_snapshot();
   return snap;
 }
 
@@ -218,6 +270,10 @@ std::uint64_t Tracer::emitted_events() const noexcept {
 void Tracer::reset() noexcept {
   const std::scoped_lock lock(mutex_);
   for (const auto& buffer : buffers_) buffer->clear();
+  for (const auto& spans : span_rings_) {
+    const std::scoped_lock ring_lock(spans->mutex);
+    spans->ring.clear();
+  }
 }
 
 }  // namespace lobster::telemetry

@@ -2,6 +2,12 @@
 // two time domains, and statement macros that compile to a relaxed-load +
 // branch when tracing is off.
 //
+// The Tracer is the only recorder. Each thread gets a TraceEvent ring on its
+// first trace event and, beside it, a SpanRecord ring on its first causal
+// span (trace_context.hpp), so threads that never open a span pay nothing
+// for one. Both record whenever enabled() is true, and both are sized by
+// set_buffer_capacity.
+//
 // Kill switches:
 //  * compile time — build with -DLOBSTER_TELEMETRY_DISABLED (CMake option
 //    LOBSTER_TELEMETRY=OFF) and every LOBSTER_TRACE_* / LOBSTER_METRIC_*
@@ -31,7 +37,14 @@
 
 namespace lobster::telemetry {
 
-/// Everything an exporter needs, decoupled from live buffers.
+/// The causal spans of every thread's span ring.
+struct SpanSnapshot {
+  std::vector<SpanRecord> records;  ///< merged across threads, oldest first by end_us
+  std::uint64_t dropped = 0;        ///< spans lost to ring overwrite
+};
+
+/// Everything an exporter needs, decoupled from live buffers. `events`,
+/// `dropped`, `emitted` and `buffers` count trace events only.
 struct TraceSnapshot {
   std::vector<TraceEvent> events;    ///< merged across threads, unsorted
   std::vector<std::string> names;    ///< interned event names by name_id
@@ -39,8 +52,9 @@ struct TraceSnapshot {
   std::uint64_t dropped = 0;         ///< records lost to ring overwrite
   std::uint64_t emitted = 0;         ///< records ever written
   std::uint32_t buffers = 0;         ///< per-thread rings merged into `events`
+  SpanSnapshot spans;
 
-  /// True when no ring overwrote a record — the snapshot is the whole run.
+  /// True when no event ring overwrote a record — the snapshot is the whole run.
   bool complete() const noexcept { return dropped == 0; }
 };
 
@@ -72,8 +86,9 @@ class Tracer {
   /// node, engine, ...). Thread tracks are allocated implicitly.
   std::uint32_t new_track(std::string_view name);
 
-  /// Ring capacity (records) for buffers created after this call.
-  void set_buffer_capacity(std::size_t events) noexcept;
+  /// Ring capacity (records) for event and span rings created after this
+  /// call.
+  void set_buffer_capacity(std::size_t records) noexcept;
 
   /// Microseconds since tracer construction (the wall-domain epoch).
   std::uint64_t wall_now_us() const noexcept;
@@ -96,7 +111,18 @@ class Tracer {
   void instant_auto(Category category, std::uint32_t name, std::uint64_t arg = 0) noexcept;
   void counter_auto(Category category, std::uint32_t name, double value) noexcept;
 
-  /// Copies out all events + string tables. Call with producers quiescent.
+  // ---- causal spans (trace_context.hpp) --------------------------------
+  /// Appends a completed span to the calling thread's span ring, allocating
+  /// the ring on the thread's first span. Span checks enabled() first.
+  void record_span(const SpanRecord& span) noexcept;
+  /// Process-unique non-zero span/trace id.
+  std::uint64_t next_id() noexcept;
+  /// Copies out every span ring. Safe while producers run: each ring is
+  /// copied under its own lock, which the flight recorder relies on.
+  SpanSnapshot span_snapshot() const;
+
+  /// Copies out all events, spans and string tables. The events need
+  /// producers quiescent (a live copy may hold a torn event); the spans do not.
   TraceSnapshot snapshot() const;
 
   /// Records lost to ring overwrite across all per-thread buffers. Cheap
@@ -105,8 +131,9 @@ class Tracer {
   /// Records ever emitted across all per-thread buffers.
   std::uint64_t emitted_events() const noexcept;
 
-  /// Drops recorded events and overflow counts. Interned names, tracks and
-  /// thread registrations survive (call sites cache ids in statics).
+  /// Drops recorded events, spans and overflow counts. Interned names,
+  /// tracks, thread registrations and the id sequence survive (call sites
+  /// cache ids in statics; span ids stay unique).
   void reset() noexcept;
 
  private:
@@ -118,22 +145,33 @@ class Tracer {
     bool active = false;
   };
 
+  /// A thread's span ring plus the lock that lets a snapshot copy it while
+  /// the thread records. Only a snapshot or reset ever contends on it.
+  struct SpanRing {
+    explicit SpanRing(std::size_t capacity) : ring(capacity) {}
+    std::mutex mutex;
+    Ring<SpanRecord> ring;
+  };
+
   Tracer();
 
   TraceBuffer& thread_buffer();
   void emit(const TraceEvent& event) noexcept { thread_buffer().emit(event); }
 
   static thread_local TraceBuffer* tls_buffer_;
+  static thread_local SpanRing* tls_spans_;
   static thread_local std::uint32_t tls_track_;
   static thread_local VirtualContext tls_virtual_;
 
   std::atomic<bool> enabled_{false};
   std::atomic<bool> metrics_enabled_{false};
   std::atomic<std::size_t> buffer_capacity_;
+  std::atomic<std::uint64_t> id_state_{0x5EED'CAFE'F00D'D1CEULL};
   WallClock::time_point epoch_;
 
   mutable std::mutex mutex_;  // guards the tables below (cold paths only)
   std::vector<std::unique_ptr<TraceBuffer>> buffers_;
+  std::vector<std::unique_ptr<SpanRing>> span_rings_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t> name_ids_;
   std::vector<std::string> tracks_;

@@ -20,27 +20,20 @@ const char* category_name(Category category) noexcept {
   return "unknown";
 }
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 8;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-TraceBuffer::TraceBuffer(std::size_t capacity)
-    : slots_(round_up_pow2(capacity)), mask_(slots_.size() - 1) {}
-
-void TraceBuffer::snapshot(std::vector<TraceEvent>& out) const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t cap = slots_.size();
-  const std::uint64_t n = head < cap ? head : cap;
-  out.reserve(out.size() + static_cast<std::size_t>(n));
-  for (std::uint64_t i = head - n; i < head; ++i) {
-    out.push_back(slots_[static_cast<std::size_t>(i & mask_)]);
+const char* span_kind_name(SpanKind kind) noexcept {
+  switch (kind) {
+    case SpanKind::kFetch: return "fetch";
+    case SpanKind::kAttempt: return "attempt";
+    case SpanKind::kBackoff: return "backoff";
+    case SpanKind::kServe: return "serve";
+    case SpanKind::kDetour: return "detour";
+    case SpanKind::kPfsFallback: return "pfs_fallback";
+    case SpanKind::kBreakerFastFail: return "breaker_fast_fail";
+    case SpanKind::kInventoryProbe: return "inventory_probe";
+    case SpanKind::kMultiGet: return "multi_get";
+    case SpanKind::kKindCount: break;
   }
+  return "unknown";
 }
 
 }  // namespace lobster::telemetry

@@ -622,13 +622,18 @@ TEST(KvStore, ServesAsExecutorRemoteTier) {
 #include "cache/directory.hpp"
 #include "comm/bus.hpp"
 #include "common/payload_arena.hpp"
+#include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace lobster::runtime {
 namespace {
 
 using telemetry::SpanKind;
-using telemetry::SpanLog;
+using telemetry::Tracer;
+
+std::vector<telemetry::SpanRecord> recorded_spans() {
+  return Tracer::instance().span_snapshot().records;
+}
 
 /// Node 0 of a 2-node, 1-GPU cluster executes `iterations` iterations of
 /// batch `batch`; node 1 only serves the samples in `held` through its
@@ -670,17 +675,18 @@ struct HolderCluster {
     }
   }
 
-  /// Runs node 0's plan with SpanLog armed when `spans` is set.
+  /// Runs node 0's plan with the Tracer (and so its spans) armed when
+  /// `spans` is set.
   ExecutionReport run(bool spans) {
     ExecutorConfig config;
     config.node = 0;
     config.balance.max_pool_threads = 2;
     PlanExecutor executor(config, catalog, sampler, plan, &client);
     executor.set_directory(&directory);
-    SpanLog::instance().clear();
-    SpanLog::instance().set_enabled(spans);
+    Tracer::instance().reset();
+    Tracer::instance().set_enabled(spans);
     auto report = executor.run();
-    SpanLog::instance().set_enabled(false);
+    Tracer::instance().set_enabled(false);
     return report;
   }
 
@@ -753,8 +759,8 @@ TEST(BatchedPrefetch, PlanPrefetchesGoOutAsMultiGetChunks) {
   cluster.place_on_holder(prefetched, /*serve=*/true);
 
   const auto report = cluster.run(/*spans=*/true);
-  const auto trees = HolderCluster::batch_trees(SpanLog::instance().snapshot());
-  SpanLog::instance().clear();
+  const auto trees = HolderCluster::batch_trees(recorded_spans());
+  Tracer::instance().reset();
 
   EXPECT_TRUE(report.clean());
   ASSERT_EQ(report.iterations.size(), 2U);
@@ -783,9 +789,9 @@ TEST(BatchedPrefetch, HolderGroupRepliesStayWithinOneArenaClass) {
   const auto before = PayloadArena::stats();
   const auto report = cluster.run(/*spans=*/true);
   const auto after = PayloadArena::stats();
-  const auto spans = SpanLog::instance().snapshot();
+  const auto spans = recorded_spans();
   const auto trees = HolderCluster::batch_trees(spans);
-  SpanLog::instance().clear();
+  Tracer::instance().reset();
 
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.iterations[0].remote_fetches, kBatch);
@@ -861,8 +867,8 @@ TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
 
   const Outcome untraced = run(/*spans=*/false);
   const Outcome traced = run(/*spans=*/true);
-  const auto trees = HolderCluster::batch_trees(SpanLog::instance().snapshot());
-  SpanLog::instance().clear();
+  const auto trees = HolderCluster::batch_trees(recorded_spans());
+  Tracer::instance().reset();
 
   EXPECT_EQ(traced.tiers, untraced.tiers);
   EXPECT_EQ(traced.served, untraced.served);

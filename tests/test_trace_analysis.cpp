@@ -1,16 +1,19 @@
 // telemetry/analysis: JSON parser, trace round-trip (simulator → Chrome
 // trace → TraceLog → RunAnalysis), parity of the analyzer's aggregates with
-// pipeline::RunMetrics, and the report tables.
+// pipeline::RunMetrics, the report tables, the `lobster.spans.v1` codec
+// (pinned bytes, hostile fields, seeded mutations) and span stitching.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/strategies.hpp"
+#include "common/rng.hpp"
 #include "pipeline/simulator.hpp"
 #include "telemetry/analysis/analyzer.hpp"
 #include "telemetry/analysis/json.hpp"
@@ -405,6 +408,151 @@ TEST(AnalysisReport, TablesRenderInAllFormats) {
 }
 
 // ---------------------------------------------------------------------------
+// lobster.spans.v1 codec
+// ---------------------------------------------------------------------------
+
+std::string spans_jsonl(const std::vector<SpanRecord>& spans) {
+  std::ostringstream out;
+  write_spans_jsonl(out, spans);
+  return out.str();
+}
+
+SpanRecord sample_span() {
+  SpanRecord span;
+  span.trace_id = 0x1F;
+  span.span_id = 0xA0;
+  span.parent_span_id = 0;
+  span.begin_us = 10;
+  span.end_us = 25;
+  span.arg = 7;
+  span.arg2 = 2;
+  span.kind = SpanKind::kAttempt;
+  span.status = StatusCode::kTimeout;
+  span.rank = 3;
+  return span;
+}
+
+const std::string kSampleLine =
+    R"({"schema":"lobster.spans.v1","trace":"1f","span":"a0","parent":"0","kind":"attempt",)"
+    R"("status":"timeout","rank":3,"begin_us":10,"end_us":25,"arg":7,"arg2":2})";
+
+/// `line` with the first `"key":value` member swapped for `replacement`
+/// (empty: the member is removed).
+std::string with_member(const std::string& line, const std::string& key,
+                        const std::string& replacement) {
+  const std::string quoted = "\"" + key + "\":";
+  const auto at = line.find(quoted);
+  EXPECT_NE(at, std::string::npos) << key;
+  auto end = line.find_first_of(",}", at + quoted.size());
+  if (line[at + quoted.size()] == '"') end = line.find('"', at + quoted.size() + 1) + 1;
+  std::string out = line.substr(0, at);
+  if (replacement.empty()) {
+    if (line[end] == ',') ++end;  // drop the member and its separator
+  } else {
+    out += quoted + replacement;
+  }
+  return out + line.substr(end);
+}
+
+TEST(SpanJsonl, WriterBytesArePinned) {
+  EXPECT_EQ(spans_jsonl({sample_span()}), kSampleLine + "\n");
+}
+
+TEST(SpanJsonl, EveryFieldRoundTrips) {
+  std::vector<SpanRecord> spans;
+  for (std::uint8_t k = 0; k < static_cast<std::uint8_t>(SpanKind::kKindCount); ++k) {
+    SpanRecord span = sample_span();
+    span.kind = static_cast<SpanKind>(k);
+    span.status = static_cast<StatusCode>(k % (static_cast<int>(StatusCode::kInvalid) + 1));
+    span.trace_id = ~0ULL - k;  // past 2^53: ids stay exact as hex
+    span.span_id = 1ULL << (k + 50);
+    span.parent_span_id = k;
+    span.rank = static_cast<std::uint16_t>(0xFFFF - k);
+    span.arg2 = (1ULL << 53) - k;
+    spans.push_back(span);
+  }
+  EXPECT_EQ(load_spans(spans_jsonl(spans)), spans);
+}
+
+TEST(SpanJsonl, RejectsHostileFieldsWithTheirLineNumber) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"trace", ""},   {"span", ""},     {"parent", ""},   {"kind", ""},
+      {"status", ""},  {"rank", ""},     {"begin_us", ""}, {"end_us", ""},
+      {"arg", ""},     {"arg2", ""},
+      {"trace", R"("xyz")"},
+      {"span", R"("")"},
+      {"parent", R"("11111111111111111")"},
+      {"trace", "31"},
+      {"kind", R"("teleport")"},
+      {"status", R"("maybe")"},
+      {"kind", "3"},
+      {"rank", "-1"},
+      {"rank", "65536"},
+      {"rank", "1.5"},
+      {"begin_us", "-1"},
+      {"end_us", "1e30"},
+      {"arg", "2.5"},
+      {"arg2", "9007199254740994"},
+      {"arg", R"("7")"},
+      {"end_us", "null"},
+      {"schema", R"("lobster.spans.v2")"},
+  };
+  for (const auto& [key, replacement] : cases) {
+    const std::string text = kSampleLine + "\n" + with_member(kSampleLine, key, replacement) + "\n";
+    try {
+      (void)load_spans(text);
+      ADD_FAILURE() << "accepted " << key << "=" << replacement;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("spans line 2"), std::string::npos)
+          << key << "=" << replacement << ": " << e.what();
+    }
+  }
+  EXPECT_THROW((void)load_spans("[1, 2]\n"), std::runtime_error);
+  EXPECT_EQ(load_spans(kSampleLine + "\n").front(), sample_span());
+}
+
+TEST(SpanJsonl, SeededMutationsAreRejectedOrRoundTrip) {
+  // Random byte flips, deletions, insertions and cuts of a valid stream:
+  // the decoder either throws with a line number or returns spans that
+  // re-encode to a stream it decodes to the same spans. Runs under
+  // ASan/UBSan in CI, where an out-of-range cast would trap.
+  std::vector<SpanRecord> spans;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    SpanRecord span = sample_span();
+    span.span_id = 0xA0 + i;
+    span.parent_span_id = i == 0 ? 0 : 0xA0;
+    span.arg = 1000 * i + 7;
+    spans.push_back(span);
+  }
+  const std::string valid = spans_jsonl(spans);
+  static constexpr char kAlphabet[] = "0123456789abcdefxyz-+.eE\",:{}[] \n";
+  Rng rng(0x5BA7);
+  std::size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string text = valid;
+    const int edits = 1 + static_cast<int>(rng.bounded(3));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const auto at = static_cast<std::size_t>(rng.bounded(text.size()));
+      const char c = kAlphabet[rng.bounded(sizeof(kAlphabet) - 1)];
+      switch (rng.bounded(4)) {
+        case 0: text[at] = c; break;
+        case 1: text.erase(at, 1); break;
+        case 2: text.insert(at, 1, c); break;
+        default: text.resize(at); break;
+      }
+    }
+    try {
+      const auto decoded = load_spans(text);
+      EXPECT_EQ(load_spans(spans_jsonl(decoded)), decoded) << text;
+    } catch (const std::runtime_error& e) {
+      ++rejected;
+      EXPECT_EQ(std::string(e.what()).rfind("spans line ", 0), 0U) << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0U);
+}
+
+// ---------------------------------------------------------------------------
 // Span stitching
 // ---------------------------------------------------------------------------
 
@@ -412,13 +560,14 @@ TEST(AnalysisReport, TablesRenderInAllFormats) {
 /// back corrupt (rank 1's serve still parents on it, so the tree touches
 /// two ranks), the sample detours, and the re-route envelope's attempt is
 /// served on rank 2.
-std::vector<LoadedSpan> rerouted_batch_tree() {
-  const auto span = [](const char* id, const char* parent, const char* kind, std::uint16_t rank,
-                       std::uint64_t begin, std::uint64_t end, const char* status = "ok") {
-    LoadedSpan s;
-    s.trace = "t1";
-    s.span = id;
-    s.parent = parent;
+std::vector<SpanRecord> rerouted_batch_tree() {
+  const auto span = [](std::uint64_t id, std::uint64_t parent, SpanKind kind,
+                       std::uint16_t rank, std::uint64_t begin, std::uint64_t end,
+                       StatusCode status = StatusCode::kOk) {
+    SpanRecord s;
+    s.trace_id = 0x71;
+    s.span_id = id;
+    s.parent_span_id = parent;
     s.kind = kind;
     s.status = status;
     s.rank = rank;
@@ -426,15 +575,15 @@ std::vector<LoadedSpan> rerouted_batch_tree() {
     s.end_us = end;
     return s;
   };
-  std::vector<LoadedSpan> spans{
-      span("1", "0", "fetch", 0, 0, 100),
-      span("2", "1", "multi_get", 0, 1, 40),
-      span("3", "2", "attempt", 0, 1, 40, "corrupt"),
-      span("4", "3", "serve", 1, 5, 30),
-      span("5", "1", "detour", 0, 41, 41),
-      span("6", "1", "multi_get", 0, 42, 60),
-      span("7", "6", "attempt", 0, 42, 60),
-      span("8", "7", "serve", 2, 45, 55),
+  std::vector<SpanRecord> spans{
+      span(1, 0, SpanKind::kFetch, 0, 0, 100),
+      span(2, 1, SpanKind::kMultiGet, 0, 1, 40),
+      span(3, 2, SpanKind::kAttempt, 0, 1, 40, StatusCode::kCorrupt),
+      span(4, 3, SpanKind::kServe, 1, 5, 30),
+      span(5, 1, SpanKind::kDetour, 0, 41, 41),
+      span(6, 1, SpanKind::kMultiGet, 0, 42, 60),
+      span(7, 6, SpanKind::kAttempt, 0, 42, 60),
+      span(8, 7, SpanKind::kServe, 2, 45, 55),
   };
   spans.front().arg = 2;   // samples routed to peers
   spans.front().arg2 = 5;  // iteration
@@ -469,7 +618,7 @@ TEST(SpanStitching, ARerouteAttemptWithoutAServeIsNotStitched) {
 
 TEST(SpanStitching, AServeWhoseParentDoesNotResolveIsNotStitched) {
   auto spans = rerouted_batch_tree();
-  spans.back().parent = "ff";  // lost the requester's attempt context
+  spans.back().parent_span_id = 0xFF;  // lost the requester's attempt context
   const auto analysis = analyze_spans(spans);
   ASSERT_EQ(analysis.traces.size(), 1u);
   const TraceSummary& trace = analysis.traces.front();

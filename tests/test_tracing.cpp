@@ -1,11 +1,14 @@
 // Causal tracing & incident capture (DESIGN.md §11): span nesting and
-// TLS-context propagation, message-envelope stamping across the bus,
-// the structured event log, the response-tag window that keeps 64-bit
-// request ids collision-free, the flight recorder's bundle round-trip,
-// and — under TSan — concurrent degraded fetches each stitching into a
-// single well-formed span tree with no cross-linked parents.
+// TLS-context propagation, the Tracer's per-thread span rings, message-
+// envelope stamping across the bus, the structured event log, the
+// response-tag window that keeps 64-bit request ids collision-free, the
+// flight recorder's bundle round-trip, and — under TSan — concurrent
+// degraded fetches each stitching into a single well-formed span tree with
+// no cross-linked parents, and incident bundles dumped while four threads
+// keep recording.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -26,6 +29,7 @@
 #include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/monitor.hpp"
+#include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace lobster {
@@ -36,23 +40,29 @@ using telemetry::EventKind;
 using telemetry::EventLog;
 using telemetry::Span;
 using telemetry::SpanKind;
-using telemetry::SpanLog;
+using telemetry::SpanRecord;
 using telemetry::TraceContext;
+using telemetry::Tracer;
+
+/// The Tracer's default per-thread ring capacity.
+constexpr std::size_t kDefaultRingRecords = std::size_t{1} << 14;
+
+std::vector<SpanRecord> recorded_spans() { return Tracer::instance().span_snapshot().records; }
 
 class TracingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SpanLog::instance().clear();
+    Tracer::instance().reset();
     EventLog::instance().clear();
-    SpanLog::instance().set_enabled(true);
+    Tracer::instance().set_enabled(true);
     EventLog::instance().set_enabled(true);
   }
   void TearDown() override {
-    SpanLog::instance().set_enabled(false);
+    Tracer::instance().set_enabled(false);
     EventLog::instance().set_enabled(false);
-    SpanLog::instance().set_capacity(32768);
+    Tracer::instance().set_buffer_capacity(kDefaultRingRecords);
     EventLog::instance().close_stream();
-    SpanLog::instance().clear();
+    Tracer::instance().reset();
     EventLog::instance().clear();
   }
 };
@@ -62,7 +72,7 @@ class TracingTest : public ::testing::Test {
 TEST_F(TracingTest, IdsAreNonZeroAndUnique) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 10000; ++i) {
-    const auto id = SpanLog::instance().next_id();
+    const auto id = Tracer::instance().next_id();
     ASSERT_NE(id, 0U);
     ASSERT_TRUE(seen.insert(id).second) << "duplicate id after " << i << " draws";
   }
@@ -92,7 +102,7 @@ TEST_F(TracingTest, NestedSpansShareTheTraceAndChainParents) {
   }
   EXPECT_FALSE(telemetry::current_trace_context().valid());
 
-  const auto spans = SpanLog::instance().snapshot();
+  const auto spans = recorded_spans();
   ASSERT_EQ(spans.size(), 3U);  // attempt, detour, fetch (close order)
   EXPECT_EQ(spans[0].kind, SpanKind::kAttempt);
   EXPECT_EQ(spans[0].span_id, child);
@@ -105,7 +115,7 @@ TEST_F(TracingTest, NestedSpansShareTheTraceAndChainParents) {
 
   // Outside any context an instant roots a fresh trace of its own.
   Span::instant(SpanKind::kBreakerFastFail, 0, 42, 1);
-  const auto bare = SpanLog::instance().snapshot().back();
+  const auto bare = recorded_spans().back();
   EXPECT_EQ(bare.kind, SpanKind::kBreakerFastFail);
   EXPECT_EQ(bare.parent_span_id, 0U);
   EXPECT_NE(bare.trace_id, 0U);
@@ -128,7 +138,7 @@ TEST_F(TracingTest, RemoteParentContinuesTheSendersTrace) {
   Span inert(SpanKind::kServe, 3, TraceContext{}, 7);
   EXPECT_FALSE(inert.active());
 
-  const auto spans = SpanLog::instance().snapshot();
+  const auto spans = recorded_spans();
   ASSERT_EQ(spans.size(), 2U);
   EXPECT_EQ(spans[1].rank, 3);
   EXPECT_EQ(spans[1].parent_span_id, spans[0].span_id);
@@ -168,7 +178,7 @@ TEST_F(TracingTest, DetachedSpansOverlapWithoutTouchingTheThreadContext) {
 #if !defined(LOBSTER_TELEMETRY_DISABLED)
   EXPECT_EQ(stamped->span_id, second_id);
 #endif
-  const auto spans = SpanLog::instance().snapshot();
+  const auto spans = recorded_spans();
   ASSERT_EQ(spans.size(), 3U);  // first (ended early), second, fetch
   EXPECT_EQ(spans[0].span_id, first_id);
   EXPECT_EQ(spans[1].span_id, second_id);
@@ -187,7 +197,7 @@ TEST_F(TracingTest, DetachedSpansOverlapWithoutTouchingTheThreadContext) {
 }
 
 TEST_F(TracingTest, DisabledLogMakesSpansFree) {
-  SpanLog::instance().set_enabled(false);
+  Tracer::instance().set_enabled(false);
   Span fetch(SpanKind::kFetch, 0, 1);
   EXPECT_FALSE(fetch.active());
   EXPECT_FALSE(telemetry::current_trace_context().valid());
@@ -195,14 +205,35 @@ TEST_F(TracingTest, DisabledLogMakesSpansFree) {
 }
 
 TEST_F(TracingTest, RingDropsOldestBeyondCapacity) {
-  SpanLog::instance().set_capacity(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    Span span(SpanKind::kFetch, 0, i);
-  }
-  const auto spans = SpanLog::instance().snapshot();
-  ASSERT_EQ(spans.size(), 4U);
-  EXPECT_EQ(SpanLog::instance().dropped(), 6U);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(spans[i].arg, 6 + i);  // oldest first
+  // A capacity applies to rings allocated after it is set, so a fresh
+  // thread records into the smallest ring (8 records).
+  Tracer::instance().set_buffer_capacity(8);
+  std::thread([] {
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      Span span(SpanKind::kFetch, 0, i);
+    }
+  }).join();
+  const auto snapshot = Tracer::instance().span_snapshot();
+  const auto& spans = snapshot.records;
+  ASSERT_EQ(spans.size(), 8U);
+  EXPECT_EQ(snapshot.dropped, 12U);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(spans[i].arg, 12 + i);  // oldest first
+}
+
+TEST_F(TracingTest, SpansRecordOnlyWhileTheTracerIsEnabled) {
+  // One switch: the Tracer's enabled flag arms spans and trace events alike,
+  // and reset() clears both.
+  { Span fetch(SpanKind::kFetch, 0, 1); }
+  Tracer::instance().set_enabled(false);
+  { Span fetch(SpanKind::kFetch, 0, 2); }
+  Span::instant(SpanKind::kDetour, 0, 3);
+  const auto snapshot = Tracer::instance().snapshot();
+  ASSERT_EQ(snapshot.spans.records.size(), 1U);
+  EXPECT_EQ(snapshot.spans.records[0].arg, 1U);
+  EXPECT_EQ(snapshot.spans.dropped, 0U);
+
+  Tracer::instance().reset();
+  EXPECT_TRUE(recorded_spans().empty());
 }
 
 // ---- bus propagation: the envelope carries the sender's context.
@@ -350,10 +381,10 @@ TEST_F(TracingTest, ConcurrentDegradedFetchesBuildIsolatedSpanTrees) {
   for (auto& thread : threads) thread.join();
   server.stop();
 
-  const auto records = SpanLog::instance().snapshot();
-  EXPECT_EQ(SpanLog::instance().dropped(), 0U);
-  const auto loaded = telemetry::analysis::spans_from_records(records);
-  const auto analysis = telemetry::analysis::analyze_spans(loaded);
+  const auto snapshot = Tracer::instance().span_snapshot();
+  EXPECT_EQ(snapshot.dropped, 0U);
+  const auto& records = snapshot.records;
+  const auto analysis = telemetry::analysis::analyze_spans(records);
 
   EXPECT_EQ(analysis.fetch_traces, std::size_t{kThreads} * kFetchesPerThread);
   EXPECT_EQ(analysis.degraded_fetches, analysis.fetch_traces);  // all detoured
@@ -364,14 +395,14 @@ TEST_F(TracingTest, ConcurrentDegradedFetchesBuildIsolatedSpanTrees) {
   }
 
   // No cross-linked parents: every child's parent lives in the SAME trace.
-  std::map<std::string, std::string> trace_of;  // span id -> trace id
-  for (const auto& span : loaded) trace_of[span.span] = span.trace;
-  for (const auto& span : loaded) {
-    if (span.parent == "0") continue;
-    const auto it = trace_of.find(span.parent);
-    ASSERT_NE(it, trace_of.end()) << "dangling parent " << span.parent;
-    EXPECT_EQ(it->second, span.trace) << "span " << span.span
-                                      << " parented across traces";
+  std::map<std::uint64_t, std::uint64_t> trace_of;  // span id -> trace id
+  for (const auto& span : records) trace_of[span.span_id] = span.trace_id;
+  for (const auto& span : records) {
+    if (span.parent_span_id == 0) continue;
+    const auto it = trace_of.find(span.parent_span_id);
+    ASSERT_NE(it, trace_of.end()) << "dangling parent " << span.parent_span_id;
+    EXPECT_EQ(it->second, span.trace_id) << "span " << span.span_id
+                                         << " parented across traces";
   }
 }
 
@@ -462,6 +493,80 @@ TEST_F(TracingTest, MonitorFeedsHeartbeatsIntoTheRecorder) {
     EXPECT_TRUE(beat.has("flags"));
   }
   EXPECT_EQ(heartbeats, 2U);
+  fs::remove_all(out_dir);
+}
+
+// ---- live snapshots: bundles dumped while producers keep recording.
+
+TEST_F(TracingTest, IncidentBundlesSnapshotSpanRingsWhileThreadsRecord) {
+  // Four threads record spans and trace events into 64-record rings that
+  // wrap many times over while the flight recorder dumps bundles. Every span
+  // in a bundle must be whole: arg2 pairs with arg and rank, so a torn copy
+  // shows. TSan checks the copy itself.
+  constexpr std::uint16_t kProducers = 4;
+  constexpr std::size_t kBundles = 4;
+  constexpr std::size_t kRingRecords = 64;
+  const fs::path out_dir = fs::path(::testing::TempDir()) / "lobster_fr_live";
+  fs::remove_all(out_dir);
+  telemetry::FlightRecorderConfig config;
+  config.out_dir = out_dir.string();
+  config.cooldown_s = 0.0;
+  config.max_bundles = kBundles;
+  telemetry::FlightRecorder recorder(config);
+  const auto pair_of = [](std::uint64_t arg, std::uint16_t rank) { return arg * 4 + rank; };
+
+  auto& tracer = Tracer::instance();
+  tracer.set_buffer_capacity(kRingRecords);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (std::uint16_t rank = 0; rank < kProducers; ++rank) {
+    producers.emplace_back([&, rank] {
+      const std::uint32_t name = tracer.intern("live_snapshot");
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        Span fetch(SpanKind::kFetch, rank, i);
+        fetch.set_arg2(pair_of(i, rank));
+        Span::instant(SpanKind::kDetour, rank, i, pair_of(i, rank));
+        tracer.instant_wall(telemetry::Category::kTest, name, i);
+      }
+    });
+  }
+  // Dump once every producer's ring has wrapped at least once.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (tracer.span_snapshot().dropped < kProducers * kRingRecords &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<telemetry::IncidentResult> results;
+  for (std::size_t b = 0; b < kBundles; ++b) results.push_back(recorder.trigger("live"));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& producer : producers) producer.join();
+
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.dumped);
+    const auto spans =
+        telemetry::analysis::load_spans_file((fs::path(result.dir) / "spans.jsonl").string());
+    std::ifstream in(fs::path(result.dir) / "manifest.json");
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const auto manifest = telemetry::analysis::parse_json(buffer.str());
+    EXPECT_EQ(manifest.get_number("spans"), static_cast<double>(spans.size()));
+    EXPECT_GT(manifest.get_number("spans_dropped"), 0.0);
+    EXPECT_FALSE(spans.empty());
+    EXPECT_LE(spans.size(), kProducers * kRingRecords);
+    for (const auto& span : spans) {
+      EXPECT_NE(span.trace_id, 0U);
+      EXPECT_NE(span.span_id, 0U);
+      EXPECT_LE(span.begin_us, span.end_us);
+      ASSERT_LT(span.rank, kProducers);
+      EXPECT_EQ(span.arg2, pair_of(span.arg, span.rank)) << "torn span " << span.span_id;
+      if (span.kind == SpanKind::kFetch) {
+        EXPECT_EQ(span.parent_span_id, 0U);
+      } else {
+        EXPECT_EQ(span.kind, SpanKind::kDetour);
+        EXPECT_NE(span.parent_span_id, 0U);
+      }
+    }
+  }
   fs::remove_all(out_dir);
 }
 

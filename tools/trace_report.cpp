@@ -245,7 +245,7 @@ int run_span_mode(const Options& options) {
     }
   }
 
-  std::vector<analysis::LoadedSpan> spans;
+  std::vector<lobster::telemetry::SpanRecord> spans;
   try {
     spans = analysis::load_spans_file(spans_path);
   } catch (const std::exception& e) {
