@@ -45,11 +45,6 @@ MessageBus::MessageBus(std::uint16_t world_size) : world_size_(world_size) {
   if (world_size == 0) throw std::invalid_argument("MessageBus: world_size must be >= 1");
   endpoints_.reserve(world_size);
   for (Rank r = 0; r < world_size; ++r) endpoints_.push_back(Endpoint(*this, r));
-  const std::size_t pairs = static_cast<std::size_t>(world_size) * world_size;
-  lanes_.reserve(pairs);
-  for (std::size_t i = 0; i < pairs; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(kLaneCapacity));
-  }
   receivers_.reserve(world_size);
   for (Rank r = 0; r < world_size; ++r) {
     receivers_.push_back(std::make_unique<ReceiverState>());
@@ -88,33 +83,6 @@ bool MessageBus::is_shutdown() const {
   return shutdown_.load(std::memory_order_seq_cst);
 }
 
-void MessageBus::ring_doorbell(Rank to) {
-  ReceiverState& receiver = *receivers_[to];
-  // seq_cst load: pairs with the waiter's seq_cst registration + lane
-  // re-check. Either this load sees the waiter (and we knock), or the
-  // waiter's re-check sees our push (and never sleeps).
-  if (receiver.waiters.load(std::memory_order_seq_cst) == 0) return;
-  {
-    // Empty critical section: serializes with the waiter's decision to
-    // sleep, so the notify below cannot slip between its re-check and its
-    // cv wait.
-    const std::scoped_lock lock(receiver.mutex);
-  }
-  receiver.cv.notify_all();
-}
-
-void MessageBus::flush_lane_locked(Rank from, Rank to) {
-  Lane& in = lane(from, to);
-  Message message;
-  while (in.try_pop(message)) {
-    receivers_[to]->mailbox.push_back(Envelope{std::move(message), {}});
-  }
-}
-
-void MessageBus::drain_lanes_locked(Rank to) {
-  for (Rank from = 0; from < world_size_; ++from) flush_lane_locked(from, to);
-}
-
 Status MessageBus::do_send(Rank to, Message message) {
   if (to >= world_size_) throw std::out_of_range("MessageBus: destination rank out of range");
 #if !defined(LOBSTER_TELEMETRY_DISABLED)
@@ -129,25 +97,10 @@ Status MessageBus::do_send(Rank to, Message message) {
 #endif
   if (shutdown_.load(std::memory_order_seq_cst)) return Status::shutdown("bus is shut down");
 
-  FaultPlan* plan = fault_plan_.load(std::memory_order_seq_cst);
-  if (plan == nullptr) {
-    // Fast path: lock-free lane push + doorbell. try_push only consumes the
-    // message once it has claimed a cell, so a full ring leaves it intact
-    // for the overflow path below.
-    const Rank from = message.source;
-    if (lane(from, to).try_push(std::move(message))) {
-      ring_doorbell(to);
-      return Status{};
-    }
-  }
-  return slow_send(to, std::move(message), plan);
-}
-
-Status MessageBus::slow_send(Rank to, Message message, FaultPlan* plan) {
-  slow_path_sends_.fetch_add(1, std::memory_order_relaxed);
-  LOBSTER_METRIC_COUNT("comm.slow_path_sends", 1);
   Envelope envelope{std::move(message), {}};
-  if (plan != nullptr) {
+  if (FaultPlan* plan = fault_plan_.load(std::memory_order_seq_cst); plan != nullptr) {
+    slow_path_sends_.fetch_add(1, std::memory_order_relaxed);
+    LOBSTER_METRIC_COUNT("comm.slow_path_sends", 1);
     const FaultPlan::Verdict verdict = plan->on_message(envelope.message.source, to);
     // Fire-and-forget: a dropped message still reports ok to the sender,
     // exactly as a real NIC gives no delivery receipt.
@@ -181,11 +134,10 @@ Status MessageBus::slow_send(Rank to, Message message, FaultPlan* plan) {
   ReceiverState& receiver = *receivers_[to];
   {
     const std::scoped_lock lock(receiver.mutex);
-    // Preserve per-sender FIFO across the path switch: anything this sender
-    // already put on its lane must land in the mailbox first.
-    flush_lane_locked(envelope.message.source, to);
     receiver.mailbox.push_back(std::move(envelope));
   }
+  // notify_all, not notify_one: threads blocked on this rank wait on
+  // different tags, and a lone wakeup could land on one that ignores it.
   receiver.cv.notify_all();
   return Status{};
 }
@@ -214,15 +166,7 @@ Result<Message> MessageBus::do_recv(Rank me, Tag tag, bool blocking,
     return std::nullopt;
   };
 
-  auto lanes_look_empty = [&] {
-    for (Rank from = 0; from < world_size_; ++from) {
-      if (!lane(from, me).empty()) return false;
-    }
-    return true;
-  };
-
   for (;;) {
-    drain_lanes_locked(me);
     const Clock::time_point now = Clock::now();
     std::optional<Clock::time_point> next_ready;
     if (auto found = find_match(now, next_ready)) return std::move(*found);
@@ -235,20 +179,13 @@ Result<Message> MessageBus::do_recv(Rank me, Tag tag, bool blocking,
     std::optional<Clock::time_point> wake = deadline;
     if (next_ready && (!wake || *next_ready < *wake)) wake = next_ready;
 
-    // Doorbell sleep protocol: register as a waiter (seq_cst), then
-    // re-check the lanes and the shutdown flag. A sender's lane push is a
-    // seq_cst store followed by a seq_cst waiter load, so either the
-    // sender sees this registration (and knocks under our mutex) or the
-    // re-check sees its push — a lost wakeup is impossible.
-    receiver.waiters.fetch_add(1, std::memory_order_seq_cst);
-    if (lanes_look_empty() && !shutdown_.load(std::memory_order_seq_cst)) {
-      if (wake) {
-        receiver.cv.wait_until(lock, *wake);
-      } else {
-        receiver.cv.wait(lock);
-      }
+    // Senders append under this mutex, so nothing can slip in between the
+    // scan above and the wait below.
+    if (wake) {
+      receiver.cv.wait_until(lock, *wake);
+    } else {
+      receiver.cv.wait(lock);
     }
-    receiver.waiters.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

@@ -7,26 +7,24 @@
 // One Endpoint per simulated node; each node's distribution manager runs
 // its endpoint from its own thread.
 //
-// Data plane (DESIGN.md §8): the bus is sharded into per-(sender,receiver)
-// lanes — bounded lock-free rings — so concurrent fetch traffic between
-// disjoint rank pairs never shares a cache line, let alone a mutex. A
-// receiver owns a private mailbox (mutex + condvar) that lanes drain into
-// on receive; senders ring the receiver's doorbell (an atomic waiter count
-// + condvar notify) only when someone is actually blocked. The legacy
-// mutex mailbox survives as the slow path, taken only when a FaultPlan is
-// attached (fault verdicts need serialized bookkeeping and delayed
-// delivery) or when a lane overflows; slow-path sends are counted in the
-// `comm.slow_path_sends` telemetry counter and MessageBus::slow_path_sends().
+// Data plane (DESIGN.md §8): every rank owns one mailbox, a mutex-guarded
+// deque plus a condition variable. A send appends under the receiver's
+// mutex and wakes every thread blocked on that rank (several may wait at
+// once, each on its own tag). Multi-get coalescing keeps the traffic low
+// (a few thousand envelopes per second, mailboxes a handful deep), so one
+// path serves healthy and fault-injected runs alike. Sends an attached
+// FaultPlan judged are counted in the `comm.slow_path_sends` telemetry
+// counter and MessageBus::slow_path_sends().
 //
 // Payloads are zero-copy: Message carries a shared_ptr<const vector<byte>>
 // stamped once at materialization and shared by the sender's cache, the
 // in-flight envelope, and the receiver — no copy at send, none at serve.
 //
 // Semantics:
-//   - send() is asynchronous and never blocks (lanes overflow into the
-//     unbounded mailbox); it returns Status::shutdown after shutdown and
-//     ok otherwise — a dropped or delayed message (fault injection) still
-//     reports ok, exactly as a real NIC gives no delivery receipt;
+//   - send() is asynchronous and never blocks (the mailbox is unbounded);
+//     it returns Status::shutdown after shutdown and ok otherwise — a
+//     dropped or delayed message (fault injection) still reports ok,
+//     exactly as a real NIC gives no delivery receipt;
 //   - recv() blocks until a message with a matching tag arrives (tag
 //     kAnyTag matches everything); messages with the same (source, tag)
 //     sent from one thread arrive in send order; recv_for() additionally
@@ -45,8 +43,8 @@
 // or corrupt its payload in flight (the payload is cloned and its copy's
 // bytes flipped — copy-on-write, so other holders of the shared payload
 // are untouched; the receiver sees a well-formed message whose content
-// fails end-to-end verification). Null plan (the default) costs nothing:
-// every send stays on the lock-free lane path.
+// fails end-to-end verification). Null plan (the default) costs one
+// atomic load per send.
 #pragma once
 
 #include <algorithm>
@@ -61,7 +59,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/mpmc_ring.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -176,13 +173,11 @@ class MessageBus {
   Endpoint& endpoint(Rank rank);
 
   /// Attaches (or detaches, with nullptr) a fault injector consulted on
-  /// every send. While attached, every send takes the serialized slow
-  /// path (fault verdicts and delayed delivery need it). The plan must
-  /// outlive the bus or be detached first.
+  /// every send. The plan must outlive the bus or be detached first.
   void set_fault_plan(FaultPlan* plan);
 
-  /// Sends that bypassed the lock-free lanes (fault plan attached, or a
-  /// lane overflowed). Mirrors the `comm.slow_path_sends` counter.
+  /// Sends an attached FaultPlan judged (0 while none is attached).
+  /// Mirrors the `comm.slow_path_sends` counter.
   std::uint64_t slow_path_sends() const noexcept {
     return slow_path_sends_.load(std::memory_order_relaxed);
   }
@@ -195,7 +190,6 @@ class MessageBus {
   friend class Endpoint;
 
   using Clock = std::chrono::steady_clock;
-  using Lane = MpmcRing<Message>;
 
   /// A mailbox entry; deliver_at in the future means the message is in
   /// flight (fault-injected delay) and invisible to receivers until then.
@@ -204,34 +198,14 @@ class MessageBus {
     Clock::time_point deliver_at{};  // epoch == immediately deliverable
   };
 
-  /// Per-receiver slow-path state: the mailbox lanes drain into, and the
-  /// doorbell blocked receivers sleep on.
+  /// A rank's mailbox and the condition variable its receivers sleep on.
   struct ReceiverState {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<Envelope> mailbox;
-    std::atomic<std::uint32_t> waiters{0};
   };
 
-  /// Lane cells are ~one cache line; with the small worlds this bus hosts
-  /// (tests and benches run 1-16 ranks) the full lane matrix stays modest.
-  static constexpr std::size_t kLaneCapacity = 256;
-
-  Lane& lane(Rank from, Rank to) {
-    return *lanes_[static_cast<std::size_t>(from) * world_size_ + to];
-  }
-
   Status do_send(Rank to, Message message);
-  /// Serialized mailbox path: fault verdicts, delays, and lane overflow.
-  Status slow_send(Rank to, Message message, FaultPlan* plan);
-  /// Moves everything in lane(from, to) into `to`'s mailbox. Caller holds
-  /// the receiver's mutex. Preserves per-sender FIFO across path switches.
-  void flush_lane_locked(Rank from, Rank to);
-  /// Flushes every inbound lane of `to` into its mailbox (caller holds the
-  /// receiver's mutex).
-  void drain_lanes_locked(Rank to);
-  /// Wakes `to`'s receiver if (and only if) one is blocked.
-  void ring_doorbell(Rank to);
 
   Result<Message> do_recv(Rank me, Tag tag, bool blocking,
                           std::optional<Clock::time_point> deadline);
@@ -242,7 +216,6 @@ class MessageBus {
   std::vector<Endpoint> endpoints_;
 
   // Data plane.
-  std::vector<std::unique_ptr<Lane>> lanes_;  // [from * world_size + to]
   std::vector<std::unique_ptr<ReceiverState>> receivers_;
   std::atomic<FaultPlan*> fault_plan_{nullptr};
   std::atomic<bool> shutdown_{false};

@@ -387,8 +387,6 @@ void DistributionManager::record_timeout(comm::Rank holder) {
 void DistributionManager::record_corrupt(comm::Rank holder) {
   ++corrupt_replies_;
   LOBSTER_METRIC_COUNT("comm.corrupt_replies", 1);
-  ++corrupt_strikes_;
-  LOBSTER_METRIC_COUNT("dm.corrupt_strikes", 1);
   Breaker& breaker = breakers_[holder];
   const std::uint32_t run = breaker.consecutive_corrupts.fetch_add(1) + 1;
   if (policy_.corrupt_strike_threshold > 0 && run >= policy_.corrupt_strike_threshold) {

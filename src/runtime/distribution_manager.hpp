@@ -265,9 +265,6 @@ class DistributionManager {
   std::uint64_t breaker_closes() const noexcept { return breaker_closes_.load(); }
   /// Replies that arrived but failed verification (any peer).
   std::uint64_t corrupt_replies() const noexcept { return corrupt_replies_.load(); }
-  /// Strikes charged against peers for corrupt replies (== corrupt_replies
-  /// today; kept separate so future policies can forgive isolated flips).
-  std::uint64_t corrupt_strikes() const noexcept { return corrupt_strikes_.load(); }
   /// Serve-side reply sends that failed (bus shutdown mid-reply). Once
   /// silently discarded; now counted and event-logged so a requester's
   /// timeout can be matched to the server's failed send.
@@ -314,7 +311,6 @@ class DistributionManager {
   std::atomic<std::uint64_t> breaker_opens_{0};
   std::atomic<std::uint64_t> breaker_closes_{0};
   std::atomic<std::uint64_t> corrupt_replies_{0};
-  std::atomic<std::uint64_t> corrupt_strikes_{0};
   std::atomic<std::uint64_t> serve_send_failures_{0};
   std::atomic<std::uint64_t> next_request_id_{1};
 };

@@ -8,7 +8,7 @@
 // recent-history rings (the Tracer's per-thread span rings, the EventLog,
 // plus its own heartbeat ring fed by the Monitor) and, when an anomaly
 // fires, freezes them into a self-contained **incident bundle** on disk.
-// It snapshots while the drain, prefetch and lane threads keep recording,
+// It snapshots while the drain, prefetch and serve threads keep recording,
 // which the span rings' per-ring locks make race-free:
 //
 //   <out_dir>/incident-NNN/

