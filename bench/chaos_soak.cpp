@@ -35,21 +35,17 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cache/directory.hpp"
 #include "cache/kv_store.hpp"
-#include "comm/bus.hpp"
 #include "comm/fault.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "data/dataset.hpp"
 #include "data/sampler.hpp"
-#include "runtime/distribution_manager.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/local_cluster.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/watchdog.hpp"
 #include "telemetry/analysis/span_analysis.hpp"
@@ -90,33 +86,20 @@ bool replicated(SampleId s, const ChaosShape& shape) {
 }
 
 runtime::Plan make_plan(const ChaosShape& shape, const data::EpochSampler& sampler) {
-  runtime::Plan plan;
-  plan.cluster_nodes = shape.nodes;
-  plan.gpus_per_node = shape.gpus;
-  plan.epochs = shape.epochs;
-  plan.iterations_per_epoch = shape.iters;
-  plan.batch_size = shape.batch;
-  plan.seed = 7;
-  for (IterId i = 0; i < shape.total_iters(); ++i) {
-    runtime::IterationPlan iteration;
-    iteration.iter = i;
-    iteration.nodes.resize(shape.nodes);
-    for (auto& node : iteration.nodes) {
-      node.preproc_threads = 1;
-      node.load_threads.assign(shape.gpus, 2);
-    }
-    // Evict this iteration's minibatch right after delivery: every epoch
-    // re-fetches remotely instead of going resident after epoch 0, so the
-    // remote tier stays under load for the whole soak.
-    const auto epoch = static_cast<std::uint32_t>(i / shape.iters);
-    const auto h = static_cast<std::uint32_t>(i % shape.iters);
+  runtime::Plan plan = runtime::uniform_plan(shape.nodes, shape.gpus, shape.epochs,
+                                             shape.iters, shape.batch, 7);
+  // Evict each iteration's minibatch right after delivery: every epoch
+  // re-fetches remotely instead of going resident after epoch 0, so the
+  // remote tier stays under load for the whole soak.
+  for (auto& iteration : plan.iterations) {
+    const auto epoch = static_cast<std::uint32_t>(iteration.iter / shape.iters);
+    const auto h = static_cast<std::uint32_t>(iteration.iter % shape.iters);
     auto& node0 = iteration.nodes[0];
     for (GpuId g = 0; g < shape.gpus; ++g) {
       for (const SampleId s : sampler.minibatch(epoch, h, 0, g)) {
         node0.evictions.push_back(s);
       }
     }
-    plan.iterations.push_back(std::move(iteration));
   }
   return plan;
 }
@@ -188,15 +171,7 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
   const runtime::Plan plan = make_plan(shape, sampler);
   const auto backup = static_cast<std::uint16_t>(shape.nodes - 1);
 
-  cache::CacheDirectory directory(shape.nodes);
-  for (SampleId s = 0; s < catalog.size(); ++s) {
-    directory.add(s, owner_of(s, shape));
-    if (replicated(s, shape)) directory.add(s, backup);
-  }
-
-  comm::MessageBus bus(shape.nodes);
   comm::FaultPlan fault(shape.nodes);
-  bus.set_fault_plan(&fault);
   if (chaos) {
     // Composed faults: the victim dies and later rejoins; rank 1's fabric
     // jitters (well under the fetch timeout); 2% of the backup's replies
@@ -216,27 +191,39 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
   policy.backoff_cap = 0.02;
   policy.breaker_threshold = 1;    // first timeout declares the peer dead
   policy.breaker_cooldown = 600.0; // rejoin goes through the inventory probe
-  std::vector<std::unique_ptr<runtime::DistributionManager>> peers;
+  runtime::LocalCluster cluster(catalog, sampler, plan, policy);
+  cluster.bus().set_fault_plan(&fault);
+  cache::CacheDirectory& directory = cluster.directory();
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    directory.add(s, owner_of(s, shape));
+    if (replicated(s, shape)) directory.add(s, backup);
+  }
+
+  runtime::ExecutorConfig config;
+  config.balance.max_pool_threads = 4;
+  config.verify_payloads = true;
+  config.iteration_hook = [&fault](IterId iter, const core::IterationFeedback&,
+                                   core::RebalancePlan&) {
+    fault.on_iteration(iter);
+    // Pace the soak so the recovery thread's probes and the re-replication
+    // batches genuinely overlap the run instead of racing a sprint.
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  };
+  runtime::PlanExecutor& executor = cluster.execute(0, config);
   for (std::uint16_t r = 1; r < shape.nodes; ++r) {
-    auto has = [r, &shape, backup](SampleId s) {
-      if (owner_of(s, shape) == r) return true;
-      return r == backup && replicated(s, shape);
+    const auto holds = [r, &shape, backup](SampleId s) {
+      return owner_of(s, shape) == r || (r == backup && replicated(s, shape));
     };
-    peers.push_back(std::make_unique<runtime::DistributionManager>(bus.endpoint(r), has,
-                                                                   sizes, policy));
     // Every peer serves its inventory so a rejoin can replay residency.
-    peers.back()->set_inventory_source([r, &shape, backup, num_samples] {
+    cluster.serve(r, holds).set_inventory_source([holds, num_samples] {
       std::vector<SampleId> samples;
       for (SampleId s = 0; s < num_samples; ++s) {
-        if (owner_of(s, shape) == r || (r == backup && replicated(s, shape))) {
-          samples.push_back(s);
-        }
+        if (holds(s)) samples.push_back(s);
       }
       return samples;
     });
-    peers.back()->start();
   }
-  runtime::DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+  runtime::DistributionManager& client = cluster.manager(0);
 
   cache::KvStore kv(16);
   ThreadPool replication_pool(1);
@@ -257,21 +244,6 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
     watchdog.set_on_stall(
         [recorder](IterId, Seconds) { recorder->trigger("watchdog_stall"); });
   }
-
-  runtime::ExecutorConfig config;
-  config.node = 0;
-  config.balance.max_pool_threads = 4;
-  config.verify_payloads = true;
-  config.iteration_hook = [&fault](IterId iter, const core::IterationFeedback&,
-                                   core::RebalancePlan&) {
-    fault.on_iteration(iter);
-    // Pace the soak so the recovery thread's probes and the re-replication
-    // batches genuinely overlap the run instead of racing a sprint.
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  };
-  runtime::PlanExecutor executor(config, catalog, sampler, plan);
-  executor.set_manager(&client);
-  executor.set_directory(&directory);
   executor.set_kv_store(&kv);
   executor.set_watchdog(&watchdog);
 
@@ -279,11 +251,10 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
   recovery.start();
   SoakOutcome outcome;
   const auto start = Clock::now();
-  outcome.report = executor.run();
+  outcome.report = std::move(cluster.run()[0]);
   outcome.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   recovery.stop();
   watchdog.stop();
-  for (auto& peer : peers) peer->stop();
 
   outcome.corrupt_replies = client.corrupt_replies();
   outcome.breaker_opens = client.breaker_opens();

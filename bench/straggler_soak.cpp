@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -31,7 +30,7 @@
 #include "core/feedback_balancer.hpp"
 #include "data/dataset.hpp"
 #include "data/sampler.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/local_cluster.hpp"
 #include "sim/capacity_profile.hpp"
 
 using namespace lobster;
@@ -58,27 +57,6 @@ struct ClusterShape {
   std::uint16_t straggler() const { return static_cast<std::uint16_t>(nodes - 1); }
 };
 
-runtime::Plan make_plan(const ClusterShape& shape) {
-  runtime::Plan plan;
-  plan.cluster_nodes = shape.nodes;
-  plan.gpus_per_node = shape.gpus;
-  plan.epochs = 1;
-  plan.iterations_per_epoch = shape.iters;
-  plan.batch_size = shape.batch;
-  plan.seed = 11;
-  for (IterId i = 0; i < shape.iters; ++i) {
-    runtime::IterationPlan iteration;
-    iteration.iter = i;
-    iteration.nodes.resize(shape.nodes);
-    for (auto& node : iteration.nodes) {
-      node.preproc_threads = 1;
-      node.load_threads.assign(shape.gpus, 2);
-    }
-    plan.iterations.push_back(std::move(iteration));
-  }
-  return plan;
-}
-
 core::LoadBalanceConfig balancer_knobs(const ClusterShape& shape) {
   core::LoadBalanceConfig knobs;
   knobs.world_size = shape.world();
@@ -100,15 +78,24 @@ struct RunOutcome {
   std::vector<std::uint32_t> final_quotas;
 };
 
-/// Runs all nodes concurrently, each with its own executor (and its own
-/// sampler/catalog instance — identical seeds give every node the same
-/// permutation without sharing mutable caches across threads). The
-/// straggler node carries the thermal-throttle capacity schedule. When
+/// Runs all nodes concurrently, each with its own executor over one shared
+/// catalog and sampler (the sampler's permutation cache is mutex-guarded).
+/// The straggler node carries the thermal-throttle capacity schedule. When
 /// `balanced` is set, every node's iteration hook joins the shared
 /// RebalanceBarrier exchange and applies the resulting quota plan.
 RunOutcome run_cluster(const ClusterShape& shape, bool balanced) {
-  const runtime::Plan plan = make_plan(shape);
+  const runtime::Plan plan =
+      runtime::uniform_plan(shape.nodes, shape.gpus, 1, shape.iters, shape.batch, 11);
   const std::uint32_t num_samples = shape.iters * shape.global_batch();
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(num_samples, shape.bytes),
+                                    plan.seed);
+  data::SamplerConfig sampler_config;
+  sampler_config.num_samples = num_samples;
+  sampler_config.nodes = shape.nodes;
+  sampler_config.gpus_per_node = shape.gpus;
+  sampler_config.batch_size = shape.batch;
+  sampler_config.seed = 11;
+  const data::EpochSampler sampler(sampler_config);
 
   std::unique_ptr<core::FeedbackBalancer> balancer;
   std::unique_ptr<core::RebalanceBarrier> barrier;
@@ -125,44 +112,28 @@ RunOutcome run_cluster(const ClusterShape& shape, bool balanced) {
     barrier = std::make_unique<core::RebalanceBarrier>(*balancer, shape.nodes);
   }
 
-  RunOutcome outcome;
-  outcome.reports.resize(shape.nodes);
-  const auto start = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(shape.nodes);
+  runtime::LocalCluster cluster(catalog, sampler, plan);
   for (std::uint16_t n = 0; n < shape.nodes; ++n) {
-    threads.emplace_back([&, n] {
-      const data::SampleCatalog catalog(data::DatasetSpec::uniform(num_samples, shape.bytes),
-                                        plan.seed);
-      data::SamplerConfig sampler_config;
-      sampler_config.num_samples = num_samples;
-      sampler_config.nodes = shape.nodes;
-      sampler_config.gpus_per_node = shape.gpus;
-      sampler_config.batch_size = shape.batch;
-      sampler_config.seed = 11;
-      const data::EpochSampler sampler(sampler_config);
-
-      runtime::ExecutorConfig config;
-      config.node = n;
-      config.balance.max_pool_threads = 2U * shape.gpus;
-      config.t_train = kTrainS;
-      config.verify_payloads = true;
-      if (n == shape.straggler()) {
-        config.capacity = sim::CapacityProfile::thermal_throttle(
-            shape.throttle_at, shape.ramp, shape.floor_scale);
-      }
-      if (balanced) {
-        config.iteration_hook = [&barrier, n](IterId iter,
-                                              const core::IterationFeedback& feedback,
-                                              core::RebalancePlan& rebalance) {
-          rebalance = barrier->exchange(iter, n, feedback);
-        };
-      }
-      runtime::PlanExecutor executor(config, catalog, sampler, plan);
-      outcome.reports[n] = executor.run();
-    });
+    runtime::ExecutorConfig config;
+    config.balance.max_pool_threads = 2U * shape.gpus;
+    config.t_train = kTrainS;
+    config.verify_payloads = true;
+    if (n == shape.straggler()) {
+      config.capacity = sim::CapacityProfile::thermal_throttle(shape.throttle_at, shape.ramp,
+                                                               shape.floor_scale);
+    }
+    if (balanced) {
+      config.iteration_hook = [&barrier, n](IterId iter, const core::IterationFeedback& feedback,
+                                            core::RebalancePlan& rebalance) {
+        rebalance = barrier->exchange(iter, n, feedback);
+      };
+    }
+    cluster.execute(n, config);
   }
-  for (auto& thread : threads) thread.join();
+
+  RunOutcome outcome;
+  const auto start = Clock::now();
+  outcome.reports = cluster.run();
   outcome.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
 
   if (balanced) {

@@ -12,15 +12,11 @@
 //
 //   $ ./offline_online_pipeline [scale=4000] [epochs=2] [trace=out.json]
 #include <cstdio>
-#include <thread>
 
 #include "baselines/strategies.hpp"
-#include "cache/directory.hpp"
-#include "comm/bus.hpp"
 #include "common/config.hpp"
 #include "core/planner.hpp"
-#include "runtime/distribution_manager.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/local_cluster.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -58,48 +54,23 @@ int main(int argc, char** argv) {
   sampler_config.seed = preset.seed;
   const data::EpochSampler sampler(sampler_config);
 
-  comm::MessageBus bus(preset.cluster.nodes);
+  runtime::LocalCluster cluster(catalog, sampler, planned.plan);
 
   // Residency directory for O(1) remote routing: the sampler is
   // deterministic, so which node first stages each sample (its epoch-0
   // shard) is known to everyone in advance — the §4.4 global property.
   // Later epochs reshuffle, and that is exactly when a node's miss routes
   // to the epoch-0 owner's cache instead of the PFS.
-  cache::CacheDirectory directory(preset.cluster.nodes);
   const std::uint32_t iterations = sampler.iterations_per_epoch();
   for (NodeId n = 0; n < preset.cluster.nodes; ++n) {
     for (std::uint32_t h = 0; h < iterations; ++h) {
-      for (const SampleId s : sampler.node_batch(0, h, n)) directory.add(s, n);
+      for (const SampleId s : sampler.node_batch(0, h, n)) cluster.directory().add(s, n);
     }
-  }
-
-  std::vector<std::unique_ptr<runtime::PlanExecutor>> executors;
-  std::vector<std::unique_ptr<runtime::DistributionManager>> managers;
-  for (NodeId n = 0; n < preset.cluster.nodes; ++n) {
-    runtime::ExecutorConfig executor_config;
-    executor_config.node = n;
-    executors.push_back(std::make_unique<runtime::PlanExecutor>(
-        executor_config, catalog, sampler, planned.plan, nullptr));
-  }
-  for (NodeId n = 0; n < preset.cluster.nodes; ++n) {
-    auto* executor = executors[n].get();
-    managers.push_back(std::make_unique<runtime::DistributionManager>(
-        bus.endpoint(n), [executor](SampleId s) { return executor->has_sample(s); },
-        [&catalog](SampleId s) { return catalog.sample_bytes(s); }));
-    executor->set_manager(managers.back().get());
-    executor->set_directory(&directory);
-    managers.back()->start();
+    cluster.execute(n, runtime::ExecutorConfig{});
   }
 
   std::printf("[online ] executing the plan on both nodes (real threads, verified payloads)...\n");
-  std::vector<runtime::ExecutionReport> reports(preset.cluster.nodes);
-  {
-    std::vector<std::jthread> node_threads;
-    for (NodeId n = 0; n < preset.cluster.nodes; ++n) {
-      node_threads.emplace_back([&, n] { reports[n] = executors[n]->run(); });
-    }
-  }
-  for (auto& manager : managers) manager->stop();
+  const std::vector<runtime::ExecutionReport> reports = cluster.run();
 
   bool ok = true;
   for (NodeId n = 0; n < preset.cluster.nodes; ++n) {
@@ -131,8 +102,8 @@ int main(int argc, char** argv) {
                 report.virtual_total);
   }
   std::printf("[online ] distribution managers served %llu + %llu remote requests\n",
-              static_cast<unsigned long long>(managers[0]->served_requests()),
-              static_cast<unsigned long long>(managers[1]->served_requests()));
+              static_cast<unsigned long long>(cluster.manager(0).served_requests()),
+              static_cast<unsigned long long>(cluster.manager(1).served_requests()));
 
   if (!trace_path.empty()) {
     telemetry::Tracer::instance().set_enabled(false);

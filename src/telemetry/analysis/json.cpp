@@ -10,6 +10,11 @@ namespace lobster::telemetry::analysis {
 
 namespace {
 
+/// Deepest array/object nesting accepted. Far above anything the exporters
+/// write; the bound keeps hostile input from exhausting the stack, since
+/// each level of nesting is one level of recursion.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -46,13 +51,21 @@ class Parser {
 
   JsonValue parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_nested(&Parser::parse_object);
+      case '[': return parse_nested(&Parser::parse_array);
       case '"': return parse_string();
       case 't': case 'f': return parse_bool();
       case 'n': return parse_null();
       default: return parse_number();
     }
+  }
+
+  JsonValue parse_nested(JsonValue (Parser::*parse_level)()) {
+    if (depth_ == kMaxDepth) fail("nesting too deep");
+    ++depth_;
+    JsonValue value = (this->*parse_level)();
+    --depth_;
+    return value;
   }
 
   JsonValue parse_object() {
@@ -161,6 +174,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

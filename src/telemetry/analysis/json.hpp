@@ -55,7 +55,8 @@ struct JsonValue {
 };
 
 /// Parses one JSON document; throws std::runtime_error (with a byte offset)
-/// on malformed input or trailing garbage.
+/// on malformed input, trailing garbage, or arrays and objects nested more
+/// than 256 deep.
 JsonValue parse_json(std::string_view text);
 
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.

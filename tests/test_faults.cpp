@@ -29,7 +29,7 @@
 #include "data/sampler.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/plan.hpp"
+#include "runtime/local_cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "telemetry/monitor.hpp"
@@ -353,28 +353,6 @@ TEST(FaultMonitor, PeerDownAndRetryStormFlagsFollowCounterDeltas) {
 
 // ---- Acceptance: a 4-node run survives one node death mid-epoch.
 
-Plan fault_plan_for(std::uint16_t nodes, std::uint16_t gpus, std::uint32_t iters,
-                    std::uint32_t batch) {
-  Plan plan;
-  plan.cluster_nodes = nodes;
-  plan.gpus_per_node = gpus;
-  plan.epochs = 1;
-  plan.iterations_per_epoch = iters;
-  plan.batch_size = batch;
-  plan.seed = 7;
-  for (IterId i = 0; i < iters; ++i) {
-    IterationPlan iteration;
-    iteration.iter = i;
-    iteration.nodes.resize(nodes);
-    for (auto& node : iteration.nodes) {
-      node.preproc_threads = 1;
-      node.load_threads.assign(gpus, 2);
-    }
-    plan.iterations.push_back(iteration);
-  }
-  return plan;
-}
-
 data::EpochSampler fault_sampler(std::uint32_t num_samples, std::uint16_t nodes,
                                  std::uint16_t gpus, std::uint32_t batch) {
   data::SamplerConfig config;
@@ -400,55 +378,42 @@ FaultRunResult run_fault_cluster(std::uint16_t nodes, std::uint32_t iters,
                                  comm::Rank victim, IterId kill_at, bool inject) {
   constexpr std::uint16_t kGpus = 2;
   constexpr std::uint32_t kBatch = 8;
-  const Plan plan = fault_plan_for(nodes, kGpus, iters, kBatch);
+  const Plan plan = uniform_plan(nodes, kGpus, 1, iters, kBatch, 7);
   const data::SampleCatalog catalog(
       data::DatasetSpec::uniform(nodes * iters * kGpus * kBatch, 512), plan.seed);
   const auto sampler = fault_sampler(catalog.size(), nodes, kGpus, kBatch);
   const std::uint16_t backup = static_cast<std::uint16_t>(nodes - 1);
 
-  cache::CacheDirectory directory(nodes);
-  for (SampleId s = 0; s < catalog.size(); ++s) {
-    const auto owner = static_cast<std::uint16_t>(s % nodes);
-    directory.add(s, owner);
-    if (owner == victim) directory.add(s, backup);
-  }
-
-  comm::MessageBus bus(nodes);
   comm::FaultPlan fault(nodes);
-  bus.set_fault_plan(&fault);
   if (inject) fault.spec(victim).kill_at_iter = kill_at;
-
-  const auto sizes = [&catalog](SampleId s) { return catalog.sample_bytes(s); };
-  std::vector<std::unique_ptr<DistributionManager>> peers;
   FetchPolicy policy = tight_policy();
   policy.max_retries = 1;
   policy.breaker_threshold = 1;   // first timeout declares the peer dead
   policy.breaker_cooldown = 60.0; // no half-open probes during the run
-  for (std::uint16_t r = 1; r < nodes; ++r) {
-    auto has = [r, nodes, victim, backup](SampleId s) {
-      const auto owner = static_cast<std::uint16_t>(s % nodes);
-      if (owner == r) return true;
-      return r == backup && owner == victim;  // replica of the victim's set
-    };
-    peers.push_back(std::make_unique<DistributionManager>(
-        bus.endpoint(r), has, sizes, policy));
-    peers.back()->start();
+  LocalCluster cluster(catalog, sampler, plan, policy);
+  cluster.bus().set_fault_plan(&fault);
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    const auto owner = static_cast<std::uint16_t>(s % nodes);
+    cluster.directory().add(s, owner);
+    if (owner == victim) cluster.directory().add(s, backup);
   }
-  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
 
   ExecutorConfig config;
-  config.node = 0;
   config.balance.max_pool_threads = 4;
   config.iteration_hook = [&fault](IterId iter, const core::IterationFeedback&,
                                    core::RebalancePlan&) { fault.on_iteration(iter); };
-  PlanExecutor executor(config, catalog, sampler, plan);
-  executor.set_manager(&client);
-  executor.set_directory(&directory);
+  cluster.execute(0, config);
+  for (std::uint16_t r = 1; r < nodes; ++r) {
+    cluster.serve(r, [r, nodes, victim, backup](SampleId s) {
+      const auto owner = static_cast<std::uint16_t>(s % nodes);
+      if (owner == r) return true;
+      return r == backup && owner == victim;  // replica of the victim's set
+    });
+  }
 
   FaultRunResult result;
-  result.report = executor.run();
-  for (auto& peer : peers) peer->stop();
-  result.reroutes = client.timeouts();
+  result.report = std::move(cluster.run()[0]);
+  result.reroutes = cluster.manager(0).timeouts();
   return result;
 }
 
@@ -490,32 +455,28 @@ TEST(FaultAcceptance, DeadHolderCostsOneRetryBudgetPerEnvelope) {
   // budget once; its failure marks rank 1 down and every sample, with no
   // holder left, goes to the PFS without asking rank 1 again.
   constexpr std::uint32_t kBatch = 8;
-  const Plan plan = fault_plan_for(2, 1, 1, kBatch);
+  const Plan plan = uniform_plan(2, 1, 1, 1, kBatch, 7);
   const data::SampleCatalog catalog(data::DatasetSpec::uniform(2 * kBatch, 512), plan.seed);
   const auto sampler = fault_sampler(catalog.size(), 2, 1, kBatch);
-  cache::CacheDirectory directory(2);
-  for (SampleId s = 0; s < catalog.size(); ++s) directory.add(s, 1);
-
-  comm::MessageBus bus(2);
   comm::FaultPlan fault(2);
-  bus.set_fault_plan(&fault);
   fault.kill(1);
   FetchPolicy policy = tight_policy();
   policy.breaker_threshold = 0;  // never opens
-  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+  LocalCluster cluster(catalog, sampler, plan, policy);
+  cluster.bus().set_fault_plan(&fault);
+  for (SampleId s = 0; s < catalog.size(); ++s) cluster.directory().add(s, 1);
 
   ExecutorConfig config;
-  config.node = 0;
   config.balance.max_pool_threads = 2;
-  PlanExecutor executor(config, catalog, sampler, plan);
-  executor.set_manager(&client);
-  executor.set_directory(&directory);
-  const auto report = executor.run();
+  cluster.execute(0, config);
+  cluster.serve(1, [](SampleId) { return true; });
+  const auto report = std::move(cluster.run()[0]);
+  const DistributionManager& client = cluster.manager(0);
 
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(client.timeouts(), 1U + policy.max_retries);
   EXPECT_FALSE(client.breaker_open(1));
-  EXPECT_TRUE(directory.node_down(1));
+  EXPECT_TRUE(cluster.directory().node_down(1));
   ASSERT_EQ(report.iterations.size(), 1U);
   EXPECT_EQ(report.iterations[0].pfs_fetches, kBatch);
   EXPECT_EQ(report.degraded_fetches, kBatch);
@@ -965,7 +926,7 @@ TEST(ScatterGather, HoldersThatAnswerOnlyTogetherServeOneChunk) {
   constexpr Bytes kSampleBytes = 512;
   constexpr std::size_t kRequestCountOffset = 16;  // request id, sentinel, padding
   constexpr std::size_t kRequestIdsOffset = 24;
-  const Plan plan = fault_plan_for(3, 1, 1, kBatch);
+  const Plan plan = uniform_plan(3, 1, 1, 1, kBatch, 7);
   const data::SampleCatalog catalog(data::DatasetSpec::uniform(3 * kBatch, kSampleBytes),
                                     plan.seed);
   const auto sampler = fault_sampler(catalog.size(), 3, 1, kBatch);

@@ -21,7 +21,7 @@
 #include "data/sampler.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/plan.hpp"
+#include "runtime/local_cluster.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/watchdog.hpp"
 #include "telemetry/monitor.hpp"
@@ -207,28 +207,6 @@ TEST(RecoveryInventory, FalseCountNearTwoToTheSixtyTwoIsCorrupt) {
 
 // ---- Executor quarantine: corrupt holders re-routed, KV entries evicted.
 
-Plan small_plan(std::uint16_t nodes, std::uint16_t gpus, std::uint32_t iters,
-                std::uint32_t batch) {
-  Plan plan;
-  plan.cluster_nodes = nodes;
-  plan.gpus_per_node = gpus;
-  plan.epochs = 1;
-  plan.iterations_per_epoch = iters;
-  plan.batch_size = batch;
-  plan.seed = 7;
-  for (IterId i = 0; i < iters; ++i) {
-    IterationPlan iteration;
-    iteration.iter = i;
-    iteration.nodes.resize(nodes);
-    for (auto& node : iteration.nodes) {
-      node.preproc_threads = 1;
-      node.load_threads.assign(gpus, 2);
-    }
-    plan.iterations.push_back(std::move(iteration));
-  }
-  return plan;
-}
-
 data::EpochSampler small_sampler(std::uint32_t num_samples, std::uint16_t nodes,
                                  std::uint16_t gpus, std::uint32_t batch) {
   data::SamplerConfig config;
@@ -244,44 +222,27 @@ TEST(RecoveryExecutor, CorruptHolderIsBypassedToTheNextReplica) {
   constexpr std::uint16_t kNodes = 3;
   constexpr std::uint32_t kIters = 2;
   constexpr std::uint32_t kBatch = 8;
-  const Plan plan = small_plan(kNodes, 1, kIters, kBatch);
+  const Plan plan = uniform_plan(kNodes, 1, 1, kIters, kBatch, 7);
   const data::SampleCatalog catalog(
       data::DatasetSpec::uniform(kNodes * kIters * kBatch, 512), plan.seed);
   const auto sampler = small_sampler(catalog.size(), kNodes, 1, kBatch);
 
-  // Every sample lives on ranks 1 AND 2; rank 1 (the preferred, lowest-rank
-  // holder) serves corrupted bytes, rank 2 is clean.
-  cache::CacheDirectory directory(kNodes);
-  for (SampleId s = 0; s < catalog.size(); ++s) {
-    directory.add(s, 1);
-    directory.add(s, 2);
-  }
-
-  comm::MessageBus bus(kNodes);
   comm::FaultPlan fault(kNodes);
   fault.spec(1).corrupt_fraction = 1.0;
-  bus.set_fault_plan(&fault);
-
-  const auto sizes = [&catalog](SampleId s) { return catalog.sample_bytes(s); };
-  const auto has = [](SampleId) { return true; };
-  auto policy = tight_policy();
-  std::vector<std::unique_ptr<DistributionManager>> peers;
-  for (std::uint16_t r = 1; r < kNodes; ++r) {
-    peers.push_back(
-        std::make_unique<DistributionManager>(bus.endpoint(r), has, sizes, policy));
-    peers.back()->start();
+  LocalCluster cluster(catalog, sampler, plan, tight_policy());
+  cluster.bus().set_fault_plan(&fault);
+  // Every sample lives on ranks 1 AND 2; rank 1 (the preferred, lowest-rank
+  // holder) serves corrupted bytes, rank 2 is clean.
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    cluster.directory().add(s, 1);
+    cluster.directory().add(s, 2);
   }
-  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
 
   ExecutorConfig config;
-  config.node = 0;
   config.balance.max_pool_threads = 4;
-  PlanExecutor executor(config, catalog, sampler, plan);
-  executor.set_manager(&client);
-  executor.set_directory(&directory);
-
-  const auto report = executor.run();
-  for (auto& peer : peers) peer->stop();
+  cluster.execute(0, config);
+  for (std::uint16_t r = 1; r < kNodes; ++r) cluster.serve(r, [](SampleId) { return true; });
+  const auto report = std::move(cluster.run()[0]);
 
   // Every delivery is clean — the corrupt copies were intercepted, the
   // fetches re-routed to the clean replica, and nothing fell to the PFS.
@@ -297,7 +258,7 @@ TEST(RecoveryExecutor, CorruptHolderIsBypassedToTheNextReplica) {
   }
   EXPECT_GT(remote, 0U);
   EXPECT_EQ(pfs, 0U);
-  EXPECT_GT(client.corrupt_replies(), 0U);
+  EXPECT_GT(cluster.manager(0).corrupt_replies(), 0U);
 }
 
 TEST(RecoveryExecutor, CorruptHolderIsAskedOnceAndEachRerouteCountsDegradedOnce) {
@@ -307,40 +268,29 @@ TEST(RecoveryExecutor, CorruptHolderIsAskedOnceAndEachRerouteCountsDegradedOnce)
   // is never asked for it again, and it counts as degraded exactly once.
   constexpr std::uint16_t kNodes = 3;
   constexpr std::uint32_t kBatch = 16;
-  const Plan plan = small_plan(kNodes, 1, 1, kBatch);
+  const Plan plan = uniform_plan(kNodes, 1, 1, 1, kBatch, 7);
   const data::SampleCatalog catalog(data::DatasetSpec::uniform(kNodes * kBatch, 512),
                                     plan.seed);
   const auto sampler = small_sampler(catalog.size(), kNodes, 1, kBatch);
 
-  cache::CacheDirectory directory(kNodes);
-  for (SampleId s = 0; s < catalog.size(); ++s) {
-    directory.add(s, 1);
-    directory.add(s, 2);
-  }
-  comm::MessageBus bus(kNodes);
   comm::FaultPlan fault(kNodes);
   fault.spec(1).corrupt_fraction = 1.0;
-  bus.set_fault_plan(&fault);
-
-  const auto sizes = [&catalog](SampleId s) { return catalog.sample_bytes(s); };
-  const auto has = [](SampleId) { return true; };
   auto policy = tight_policy();
   policy.corrupt_strike_threshold = 100;  // rank 1 keeps answering
-  DistributionManager corrupt_holder(bus.endpoint(1), has, sizes, policy);
-  DistributionManager clean_holder(bus.endpoint(2), has, sizes, policy);
-  corrupt_holder.start();
-  clean_holder.start();
-  DistributionManager client(bus.endpoint(0), nullptr, nullptr, policy);
+  LocalCluster cluster(catalog, sampler, plan, policy);
+  cluster.bus().set_fault_plan(&fault);
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    cluster.directory().add(s, 1);
+    cluster.directory().add(s, 2);
+  }
 
   ExecutorConfig config;
-  config.node = 0;
   config.balance.max_pool_threads = 2;
-  PlanExecutor executor(config, catalog, sampler, plan);
-  executor.set_manager(&client);
-  executor.set_directory(&directory);
-  const auto report = executor.run();
-  corrupt_holder.stop();
-  clean_holder.stop();
+  cluster.execute(0, config);
+  const auto has = [](SampleId) { return true; };
+  const DistributionManager& corrupt_holder = cluster.serve(1, has);
+  const DistributionManager& clean_holder = cluster.serve(2, has);
+  const auto report = std::move(cluster.run()[0]);
 
   EXPECT_TRUE(report.clean());
   ASSERT_EQ(report.iterations.size(), 1U);
@@ -356,7 +306,7 @@ TEST(RecoveryExecutor, CorruptHolderIsAskedOnceAndEachRerouteCountsDegradedOnce)
 
 TEST(RecoveryExecutor, CorruptKvEntryIsEvictedAndRepublishedVerified) {
   constexpr std::uint32_t kBatch = 4;
-  const Plan plan = small_plan(1, 1, 1, kBatch);
+  const Plan plan = uniform_plan(1, 1, 1, 1, kBatch, 7);
   const data::SampleCatalog catalog(data::DatasetSpec::uniform(kBatch, 256), plan.seed);
   const auto sampler = small_sampler(catalog.size(), 1, 1, kBatch);
 
@@ -366,17 +316,12 @@ TEST(RecoveryExecutor, CorruptKvEntryIsEvictedAndRepublishedVerified) {
     ASSERT_TRUE(kv.put(s, std::vector<std::byte>(catalog.sample_bytes(s))).ok());
   }
 
-  comm::MessageBus bus(1);
-  DistributionManager client(bus.endpoint(0), nullptr, nullptr, tight_policy());
-
+  LocalCluster cluster(catalog, sampler, plan, tight_policy());
   ExecutorConfig config;
-  config.node = 0;
   config.balance.max_pool_threads = 2;
-  PlanExecutor executor(config, catalog, sampler, plan);
-  executor.set_manager(&client);  // forces the remote tier (and the KV probe)
-  executor.set_kv_store(&kv);
+  cluster.execute(0, config).set_kv_store(&kv);
 
-  const auto report = executor.run();
+  const auto report = std::move(cluster.run()[0]);
 
   // Every poisoned entry was quarantined: evicted, re-materialized from the
   // PFS, delivered verified, and re-published clean.
@@ -535,7 +480,7 @@ TEST(RecoveryWatchdog, FlagsAnIterationPastItsDeadlineExactlyOnce) {
 
 TEST(RecoveryWatchdog, ExecutorBracketsIterationsThroughTheHook) {
   constexpr std::uint32_t kBatch = 4;
-  const Plan plan = small_plan(1, 1, 2, kBatch);
+  const Plan plan = uniform_plan(1, 1, 1, 2, kBatch, 7);
   const data::SampleCatalog catalog(data::DatasetSpec::uniform(2 * kBatch, 128), plan.seed);
   const auto sampler = small_sampler(catalog.size(), 1, 1, kBatch);
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #include "baselines/strategies.hpp"
@@ -619,9 +622,8 @@ TEST(KvStore, ServesAsExecutorRemoteTier) {
 #include <array>
 #include <unordered_set>
 
-#include "cache/directory.hpp"
-#include "comm/bus.hpp"
 #include "common/payload_arena.hpp"
+#include "runtime/local_cluster.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
 
@@ -642,35 +644,19 @@ struct HolderCluster {
   HolderCluster(std::uint32_t iterations, std::uint32_t batch, Bytes sample_bytes)
       : catalog(data::DatasetSpec::uniform(2 * iterations * batch, sample_bytes), kSeed),
         sampler(sampler_config(iterations, batch)),
-        directory(2),
-        bus(2),
-        holder(bus.endpoint(1), [this](SampleId s) { return held.count(s) > 0; }, sizes()),
-        client(bus.endpoint(0), nullptr, sizes()) {
-    plan.cluster_nodes = 2;
-    plan.gpus_per_node = 1;
-    plan.epochs = 1;
-    plan.iterations_per_epoch = iterations;
-    plan.batch_size = batch;
-    plan.seed = kSeed;
-    for (IterId i = 0; i < iterations; ++i) {
-      IterationPlan iteration;
-      iteration.iter = i;
-      iteration.nodes.resize(2);
-      for (auto& node : iteration.nodes) {
-        node.preproc_threads = 1;
-        node.load_threads = {2};
-      }
-      plan.iterations.push_back(iteration);
-    }
-    holder.start();
+        plan(uniform_plan(2, 1, 1, iterations, batch, kSeed)),
+        local(catalog, sampler, plan),
+        holder(local.serve(1, [this](SampleId s) { return held.count(s) > 0; })) {
+    ExecutorConfig config;
+    config.balance.max_pool_threads = 2;
+    local.execute(0, config);
   }
-  ~HolderCluster() { holder.stop(); }
 
   /// Credits `samples` to node 1 in the directory; `serve` decides whether
   /// node 1 actually still holds them.
   void place_on_holder(const std::vector<SampleId>& samples, bool serve) {
     for (const SampleId s : samples) {
-      directory.add(s, 1);
+      local.directory().add(s, 1);
       if (serve) held.insert(s);
     }
   }
@@ -678,14 +664,9 @@ struct HolderCluster {
   /// Runs node 0's plan with the Tracer (and so its spans) armed when
   /// `spans` is set.
   ExecutionReport run(bool spans) {
-    ExecutorConfig config;
-    config.node = 0;
-    config.balance.max_pool_threads = 2;
-    PlanExecutor executor(config, catalog, sampler, plan, &client);
-    executor.set_directory(&directory);
     Tracer::instance().reset();
     Tracer::instance().set_enabled(spans);
-    auto report = executor.run();
+    auto report = std::move(local.run()[0]);
     Tracer::instance().set_enabled(false);
     return report;
   }
@@ -733,18 +714,13 @@ struct HolderCluster {
     config.seed = kSeed;
     return config;
   }
-  std::function<Bytes(SampleId)> sizes() {
-    return [this](SampleId s) { return catalog.sample_bytes(s); };
-  }
 
   data::SampleCatalog catalog;
   data::EpochSampler sampler;
   Plan plan;
-  cache::CacheDirectory directory;
   std::unordered_set<SampleId> held;
-  comm::MessageBus bus;
-  DistributionManager holder;
-  DistributionManager client;
+  LocalCluster local;
+  DistributionManager& holder;
 };
 
 TEST(BatchedPrefetch, PlanPrefetchesGoOutAsMultiGetChunks) {
@@ -880,6 +856,131 @@ TEST(BatchedPrefetch, TracedAndUntracedRunsTakeTheSameBranches) {
   EXPECT_EQ(trees.envelopes, trees.roots);
   EXPECT_EQ(trees.routed, std::uint64_t{kIterations} * kBatch * 2 / 3);
   EXPECT_EQ(trees.reroute_spans, 0U);
+}
+
+// ---- LocalCluster: one wiring for N ranks.
+
+data::EpochSampler cluster_sampler(std::uint32_t num_samples, std::uint16_t nodes,
+                                   std::uint16_t gpus, std::uint32_t batch) {
+  data::SamplerConfig config;
+  config.num_samples = num_samples;
+  config.nodes = nodes;
+  config.gpus_per_node = gpus;
+  config.batch_size = batch;
+  config.seed = 3;
+  return data::EpochSampler(config);
+}
+
+TEST(LocalCluster, ServeOnlyRanksServeEveryRemoteFetchExactlyOnce) {
+  // Rank 0 executes; ranks 1 and 2 only serve, each the samples of one
+  // parity, and the directory credits every sample to its server. Every
+  // demand sample is a remote fetch, served once.
+  constexpr std::uint32_t kIters = 4;
+  constexpr std::uint32_t kBatch = 16;
+  const Plan plan = uniform_plan(3, 1, 1, kIters, kBatch, 3);
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(3 * kIters * kBatch, 512), 3);
+  const auto sampler = cluster_sampler(catalog.size(), 3, 1, kBatch);
+  FetchPolicy policy;
+  policy.timeout = 5.0;  // a sanitizer-slowed serve must not time out and be re-served
+  LocalCluster cluster(catalog, sampler, plan, policy);
+  ExecutorConfig config;
+  config.balance.max_pool_threads = 2;
+  cluster.execute(0, config);
+  for (comm::Rank r = 1; r <= 2; ++r) {
+    cluster.serve(r, [r](SampleId s) { return s % 2 == r - 1U; });
+  }
+  for (SampleId s = 0; s < catalog.size(); ++s) {
+    cluster.directory().add(s, static_cast<NodeId>(1 + s % 2));
+  }
+
+  const auto reports = cluster.run();
+  ASSERT_EQ(reports.size(), 3U);
+  const ExecutionReport& report = reports[0];
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.samples_delivered, std::uint64_t{kIters} * kBatch);
+  std::uint64_t remote = 0;
+  for (const auto& iteration : report.iterations) remote += iteration.remote_fetches;
+  EXPECT_EQ(remote, report.samples_delivered);
+  EXPECT_GT(cluster.manager(1).served_requests(), 0U);
+  EXPECT_GT(cluster.manager(2).served_requests(), 0U);
+  EXPECT_EQ(cluster.manager(1).served_requests() + cluster.manager(2).served_requests(), remote);
+  EXPECT_TRUE(reports[1].iterations.empty());
+  EXPECT_TRUE(reports[2].iterations.empty());
+}
+
+TEST(LocalCluster, TwoExecutingRanksEachDeliverTheirPlannedMinibatches) {
+  // The offline/online pipeline's shape: both ranks execute, the directory
+  // credits each sample to its epoch-0 shard, and epoch 1's reshuffle sends
+  // misses to the peer's cache.
+  constexpr std::uint32_t kIters = 4;
+  constexpr std::uint32_t kBatch = 8;
+  constexpr std::uint16_t kGpus = 2;
+  const Plan plan = uniform_plan(2, kGpus, 2, kIters, kBatch, 3);
+  const data::SampleCatalog catalog(
+      data::DatasetSpec::uniform(2 * kGpus * kIters * kBatch, 512), 3);
+  const auto sampler = cluster_sampler(catalog.size(), 2, kGpus, kBatch);
+  LocalCluster cluster(catalog, sampler, plan);
+  for (NodeId n = 0; n < 2; ++n) {
+    for (std::uint32_t h = 0; h < kIters; ++h) {
+      for (const SampleId s : sampler.node_batch(0, h, n)) cluster.directory().add(s, n);
+    }
+    ExecutorConfig config;
+    config.balance.max_pool_threads = 2;
+    cluster.execute(n, config);
+  }
+
+  const auto reports = cluster.run();
+  ASSERT_EQ(reports.size(), 2U);
+  for (NodeId n = 0; n < 2; ++n) {
+    SCOPED_TRACE(n);
+    std::uint64_t planned = 0;
+    for (std::uint32_t epoch = 0; epoch < 2; ++epoch) {
+      for (std::uint32_t h = 0; h < kIters; ++h) {
+        for (GpuId g = 0; g < kGpus; ++g) planned += sampler.minibatch(epoch, h, n, g).size();
+      }
+    }
+    EXPECT_TRUE(reports[n].clean());
+    EXPECT_EQ(reports[n].samples_delivered, planned);
+    EXPECT_EQ(reports[n].iterations.size(), plan.total_iterations());
+  }
+}
+
+TEST(LocalCluster, RunRethrowsARanksExceptionAfterEveryRankJoined) {
+  // Rank 1's hook throws at iteration 2 while rank 0, paced by its own
+  // hook, is still running. run() must wait for rank 0's last iteration
+  // before it rethrows, and destruction must stop the managers.
+  constexpr std::uint32_t kIters = 4;
+  const Plan plan = uniform_plan(2, 1, 1, kIters, 4, 3);
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(2 * kIters * 4, 256), 3);
+  const auto sampler = cluster_sampler(catalog.size(), 2, 1, 4);
+  std::atomic<IterId> rank0_last{0};
+  {
+    LocalCluster cluster(catalog, sampler, plan);
+    ExecutorConfig paced;
+    paced.balance.max_pool_threads = 1;
+    paced.iteration_hook = [&rank0_last](IterId iter, const core::IterationFeedback&,
+                                         core::RebalancePlan&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      rank0_last = iter;
+    };
+    cluster.execute(0, paced);
+    ExecutorConfig failing;
+    failing.balance.max_pool_threads = 1;
+    failing.iteration_hook = [](IterId iter, const core::IterationFeedback&,
+                                core::RebalancePlan&) {
+      if (iter == 2) throw std::runtime_error("hook failed at iteration 2");
+    };
+    cluster.execute(1, failing);
+
+    try {
+      (void)cluster.run();
+      ADD_FAILURE() << "run() swallowed the rank's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "hook failed at iteration 2");
+    }
+    EXPECT_EQ(rank0_last.load(), kIters - 1);
+    EXPECT_THROW((void)cluster.run(), std::logic_error);
+  }
 }
 
 }  // namespace

@@ -68,6 +68,77 @@ TEST(Json, QuotedStringsRoundTrip) {
   EXPECT_EQ(parse_json(doc).get_string("key"), raw);
 }
 
+TEST(Json, DeepNestingIsRejectedAtTheDepthBound) {
+  // Each level of nesting is one level of recursion, so 100,000 open
+  // brackets (a 100 KB file) once overflowed the stack. The parser stops at
+  // its bound of 256 and names the byte where the 257th level opens.
+  for (const std::string& text :
+       {std::string(100000, '['), std::string(100000, '[') + std::string(100000, ']')}) {
+    try {
+      (void)parse_json(text);
+      ADD_FAILURE() << "accepted " << text.size() << " bytes of nesting";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "json: nesting too deep at byte 256");
+    }
+  }
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+  EXPECT_THROW((void)parse_json(objects), std::runtime_error);
+  const JsonValue deepest = parse_json(std::string(256, '[') + std::string(256, ']'));
+  EXPECT_TRUE(deepest.is_array());
+}
+
+TEST(Json, SeededMutationsParseOrThrow) {
+  // Random byte flips, deletions, insertions and cuts of a bench metrics
+  // document and a heartbeat line, the two kinds of file the tools read
+  // back from disk: each either parses or throws std::runtime_error with a
+  // byte offset. Runs under ASan/UBSan in CI, where an over-read would trap.
+  const std::string metrics = R"({
+  "schema": "lobster.bench_metrics.v1",
+  "bench": "chaos_soak",
+  "slowdown_vs_fault_free": 1,
+  "remote_hit_recovery_frac": 0.982,
+  "records": [
+    {"panel": "chaos_soak", "workload": "nodes=4 gpus=2", "strategy": "fault_free", "warm_epoch_time_s": 0.312, "speedup_vs_baseline": 1, "hit_ratio": 0, "samples_per_s": 1.5e3},
+    {"panel": "chaos_soak", "workload": "nodes=4 gpus=2", "strategy": "chaos", "warm_epoch_time_s": 0.312, "speedup_vs_baseline": -2e-3, "hit_ratio": null, "samples_per_s": 1460.25}
+  ]
+})";
+  const std::string heartbeat =
+      R"({"schema":"lobster.heartbeat.v1","seq":2,"uptime_s":0.040551,"iterations":175,)"
+      R"("gap_frac":0.197540,"cache_hit_ratio":0.190982,"bytes_consumed":4882367718,)"
+      R"("jobs_running":0.000000,"note":"a\"b\\c\u0041","flags":{"straggler_gap":true,)"
+      R"("prefetch_outrun":false,"peer_down":false}})";
+  static constexpr char kAlphabet[] = "0123456789-+.eEtrufalsn\\\"u,:{}[] \n";
+  Rng rng(0x150A);
+  for (const std::string* valid : {&metrics, &heartbeat}) {
+    ASSERT_NO_THROW((void)parse_json(*valid));
+    std::size_t rejected = 0;
+    for (int round = 0; round < 4000; ++round) {
+      std::string text = *valid;
+      const int edits = 1 + static_cast<int>(rng.bounded(3));
+      for (int e = 0; e < edits && !text.empty(); ++e) {
+        const auto at = static_cast<std::size_t>(rng.bounded(text.size()));
+        const char c = kAlphabet[rng.bounded(sizeof(kAlphabet) - 1)];
+        switch (rng.bounded(4)) {
+          case 0: text[at] = c; break;
+          case 1: text.erase(at, 1); break;
+          case 2: text.insert(at, 1, c); break;
+          default: text.resize(at); break;
+        }
+      }
+      try {
+        (void)parse_json(text);
+      } catch (const std::runtime_error& e) {
+        ++rejected;
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("json: ", 0), 0U) << what;
+        EXPECT_NE(what.find(" at byte "), std::string::npos) << what;
+      }
+    }
+    EXPECT_GT(rejected, 0U);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Round-trip fixture: one traced simulator run, consumed both ways.
 // ---------------------------------------------------------------------------
