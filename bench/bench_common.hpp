@@ -158,7 +158,7 @@ class TraceSession {
     tracer.set_metrics_enabled(false);
     if (!spans_path_.empty()) {
       std::ofstream out(spans_path_);
-      telemetry::write_spans_jsonl(out, tracer.span_snapshot().records);
+      telemetry::write_spans_jsonl(out, tracer.snapshot().spans);
       if (out.good()) {
         std::printf("(spans written to %s)\n", spans_path_.c_str());
       } else {

@@ -113,7 +113,7 @@ struct SoakOutcome {
   std::uint64_t dropped_messages = 0;
   std::uint64_t watchdog_stalls = 0;
   runtime::RecoveryStats recovery;
-  std::vector<telemetry::SpanRecord> span_records;
+  std::vector<telemetry::TraceEvent> span_records;
   telemetry::analysis::SpanAnalysis spans;
 };
 
@@ -262,7 +262,7 @@ SoakOutcome run_soak(const ChaosShape& shape, bool chaos,
   outcome.dropped_messages = fault.dropped_messages();
   outcome.watchdog_stalls = watchdog.stalls();
   outcome.recovery = recovery.stats();
-  outcome.span_records = telemetry::Tracer::instance().span_snapshot().records;
+  outcome.span_records = telemetry::Tracer::instance().snapshot().spans;
   outcome.spans = telemetry::analysis::analyze_spans(outcome.span_records);
   return outcome;
 }

@@ -93,6 +93,7 @@ class Reader {
   }
 
   bool ok() const { return ok_; }
+  void fail() { ok_ = false; }
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
@@ -119,10 +120,17 @@ class Reader {
   bool ok_ = true;
 };
 
+/// Reads a count, then that many elements of `wire_bytes` each. A count
+/// past kMaxVectorEntries, or one the remaining bytes cannot hold, fails
+/// the reader before anything is reserved.
 template <typename T, typename Fn>
-void read_vector(Reader& reader, std::vector<T>& out, Fn&& element) {
+void read_vector(Reader& reader, std::size_t wire_bytes, std::vector<T>& out, Fn&& element) {
   const std::uint32_t count = reader.u32();
-  if (count > kMaxVectorEntries || !reader.ok()) return;
+  if (!reader.ok()) return;
+  if (count > kMaxVectorEntries || count * wire_bytes > reader.remaining()) {
+    reader.fail();
+    return;
+  }
   out.reserve(count);
   for (std::uint32_t i = 0; i < count && reader.ok(); ++i) out.push_back(element(reader));
 }
@@ -225,25 +233,25 @@ Result<JobCheckpoint> deserialize(std::span<const std::byte> bytes) {
   checkpoint.gpus_per_node = r.u16();
   checkpoint.batch_size = r.u32();
 
-  read_vector(r, checkpoint.quotas, [](Reader& in) { return in.u32(); });
+  read_vector(r, 4, checkpoint.quotas, [](Reader& in) { return in.u32(); });
 
   checkpoint.has_balancer = r.boolean();
   if (checkpoint.has_balancer) {
     auto& b = checkpoint.balancer;
-    read_vector(r, b.devices, [](Reader& in) {
+    read_vector(r, 8 + 8 + 1, b.devices, [](Reader& in) {
       core::FeedbackBalancer::State::DeviceRate d;
       d.ewma = in.f64();
       d.observations = in.u64();
       d.down = in.boolean();
       return d;
     });
-    read_vector(r, b.quotas, [](Reader& in) { return in.u32(); });
-    read_vector(r, b.applied_weights, [](Reader& in) { return in.f64(); });
-    read_vector(r, b.applied_targets, [](Reader& in) { return in.u32(); });
+    read_vector(r, 4, b.quotas, [](Reader& in) { return in.u32(); });
+    read_vector(r, 8, b.applied_weights, [](Reader& in) { return in.f64(); });
+    read_vector(r, 4, b.applied_targets, [](Reader& in) { return in.u32(); });
     b.observed_iters = r.u64();
   }
 
-  read_vector(r, checkpoint.residency, [](Reader& in) {
+  read_vector(r, 4 + 2 + 8, checkpoint.residency, [](Reader& in) {
     ResidencyEntry entry;
     entry.sample = in.u32();
     entry.local_holder = in.u16();

@@ -58,9 +58,20 @@ class Reader {
       throw std::runtime_error(strf("plan file: %s count %u exceeds limit %u", what, count,
                                     max_count));
     }
+    check_fits(what, count, sizeof(std::uint32_t));
     std::vector<std::uint32_t> values(count);
     for (auto& v : values) v = get<std::uint32_t>(what);
     return values;
+  }
+
+  /// Throws unless the bytes left can hold `count` items of at least
+  /// `item_bytes` each, so a false count fails before it allocates.
+  void check_fits(const char* what, std::uint64_t count, std::uint64_t item_bytes) const {
+    const std::size_t left = bytes_.size() - offset_;
+    if (count > left / item_bytes) {
+      throw std::runtime_error(strf("plan file: %s count %llu exceeds the %zu bytes left", what,
+                                    static_cast<unsigned long long>(count), left));
+    }
   }
 
   bool exhausted() const noexcept { return offset_ == bytes_.size(); }
@@ -128,6 +139,11 @@ Plan deserialize_plan(const std::vector<std::byte>& bytes) {
                                   static_cast<unsigned long long>(iteration_count),
                                   static_cast<unsigned long long>(expected)));
   }
+  // An iteration holds at least its id and, per node, the thread counts
+  // and two empty id lists.
+  const std::uint64_t min_node_bytes =
+      4 + 4 + 4 * std::uint64_t{plan.gpus_per_node} + 4 + 4;
+  reader.check_fits("iteration", iteration_count, 8 + plan.cluster_nodes * min_node_bytes);
   plan.iterations.reserve(iteration_count);
   for (std::uint64_t i = 0; i < iteration_count; ++i) {
     IterationPlan iteration;

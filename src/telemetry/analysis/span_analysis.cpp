@@ -95,8 +95,8 @@ double union_length_us(std::vector<std::pair<std::uint64_t, std::uint64_t>>& int
 
 }  // namespace
 
-std::vector<SpanRecord> load_spans(const std::string& jsonl_text) {
-  std::vector<SpanRecord> spans;
+std::vector<TraceEvent> load_spans(const std::string& jsonl_text) {
+  std::vector<TraceEvent> spans;
   std::istringstream in(jsonl_text);
   std::string text;
   std::size_t line_no = 0;
@@ -113,7 +113,7 @@ std::vector<SpanRecord> load_spans(const std::string& jsonl_text) {
     if (!value.is_object() || value.get_string("schema") != "lobster.spans.v1") {
       line.reject("schema != lobster.spans.v1");
     }
-    SpanRecord span;
+    TraceEvent span;
     span.trace_id = line.hex_id("trace");
     span.span_id = line.hex_id("span");
     span.parent_span_id = line.hex_id("parent");
@@ -122,8 +122,10 @@ std::vector<SpanRecord> load_spans(const std::string& jsonl_text) {
     span.status = line.named("status", static_cast<std::uint8_t>(StatusCode::kInvalid) + 1,
                              &status_code_name);
     span.rank = static_cast<std::uint16_t>(line.integer("rank", 0xFFFF));
-    span.begin_us = line.integer("begin_us", kMaxExactInteger);
-    span.end_us = line.integer("end_us", kMaxExactInteger);
+    span.ts_us = line.integer("begin_us", kMaxExactInteger);
+    const std::uint64_t end_us = line.integer("end_us", kMaxExactInteger);
+    if (end_us < span.ts_us) line.reject("\"end_us\" is before \"begin_us\"");
+    span.dur_us = end_us - span.ts_us;
     span.arg = line.integer("arg", kMaxExactInteger);
     span.arg2 = line.integer("arg2", kMaxExactInteger);
     spans.push_back(span);
@@ -131,7 +133,7 @@ std::vector<SpanRecord> load_spans(const std::string& jsonl_text) {
   return spans;
 }
 
-std::vector<SpanRecord> load_spans_file(const std::string& path) {
+std::vector<TraceEvent> load_spans_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open spans file: " + path);
   std::ostringstream buffer;
@@ -139,11 +141,11 @@ std::vector<SpanRecord> load_spans_file(const std::string& path) {
   return load_spans(buffer.str());
 }
 
-SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
+SpanAnalysis analyze_spans(const std::vector<TraceEvent>& spans) {
   SpanAnalysis analysis;
   analysis.total_spans = spans.size();
 
-  std::unordered_map<std::uint64_t, std::vector<const SpanRecord*>> by_trace;
+  std::unordered_map<std::uint64_t, std::vector<const TraceEvent*>> by_trace;
   for (const auto& span : spans) by_trace[span.trace_id].push_back(&span);
 
   // iter -> wasted wall intervals across ALL degraded fetch traces; merged
@@ -152,8 +154,8 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
 
   for (auto& [trace_id, members] : by_trace) {
     std::sort(members.begin(), members.end(),
-              [](const SpanRecord* a, const SpanRecord* b) {
-                return a->begin_us < b->begin_us;
+              [](const TraceEvent* a, const TraceEvent* b) {
+                return a->ts_us < b->ts_us;
               });
     TraceSummary summary;
     summary.trace_id = trace_id;
@@ -161,7 +163,7 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
 
     std::unordered_set<std::uint64_t> ids;
     std::set<std::uint16_t> ranks;
-    const SpanRecord* root = nullptr;
+    const TraceEvent* root = nullptr;
     std::size_t roots = 0;
     for (const auto* span : members) {
       ids.insert(span->span_id);
@@ -184,7 +186,7 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
       summary.root_rank = root->rank;
       summary.sample = root->arg;
       summary.iter = root->arg2;
-      summary.duration_us = root->duration_us();
+      summary.duration_us = static_cast<double>(root->dur_us);
     }
 
     // Wasted-time buckets. A trace's first detour splits its attempts:
@@ -194,7 +196,7 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
     std::uint64_t first_detour_us = ~0ULL;
     for (const auto* span : members) {
       if (span->kind == SpanKind::kDetour) {
-        first_detour_us = std::min(first_detour_us, span->begin_us);
+        first_detour_us = std::min(first_detour_us, span->ts_us);
       }
     }
     std::vector<std::pair<std::uint64_t, std::uint64_t>> wasted;
@@ -204,16 +206,16 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
         ++summary.attempts;
         if (failed) {
           summary.degraded = true;
-          summary.timeout_us += span->duration_us();
-          wasted.emplace_back(span->begin_us, span->end_us);
-        } else if (span->begin_us >= first_detour_us) {
-          summary.detour_us += span->duration_us();
-          wasted.emplace_back(span->begin_us, span->end_us);
+          summary.timeout_us += static_cast<double>(span->dur_us);
+          wasted.emplace_back(span->ts_us, span->end_us());
+        } else if (span->ts_us >= first_detour_us) {
+          summary.detour_us += static_cast<double>(span->dur_us);
+          wasted.emplace_back(span->ts_us, span->end_us());
         }
       } else if (span->kind == SpanKind::kBackoff) {
         summary.degraded = true;
-        summary.timeout_us += span->duration_us();
-        wasted.emplace_back(span->begin_us, span->end_us);
+        summary.timeout_us += static_cast<double>(span->dur_us);
+        wasted.emplace_back(span->ts_us, span->end_us());
       } else if (span->kind == SpanKind::kDetour) {
         summary.degraded = true;
         ++summary.detours;
@@ -222,8 +224,8 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
         // remote requests with no recorded holder) take this span on the
         // happy path. It only becomes wasted time when the trace also shows
         // a failure (failed attempt / detour / fast-fail).
-        summary.pfs_us += span->duration_us();
-        wasted.emplace_back(span->begin_us, span->end_us);
+        summary.pfs_us += static_cast<double>(span->dur_us);
+        wasted.emplace_back(span->ts_us, span->end_us());
       } else if (span->kind == SpanKind::kBreakerFastFail) {
         summary.degraded = true;
         ++summary.fast_fails;
@@ -237,7 +239,7 @@ SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans) {
     if (first_detour_us != ~0ULL) {
       std::unordered_map<std::uint64_t, std::uint16_t> rerouted_attempts;  // span -> rank
       for (const auto* span : members) {
-        if (span->kind == SpanKind::kAttempt && span->begin_us >= first_detour_us) {
+        if (span->kind == SpanKind::kAttempt && span->ts_us >= first_detour_us) {
           rerouted_attempts.emplace(span->span_id, span->rank);
         }
       }
@@ -318,7 +320,7 @@ Table span_attribution_table(const SpanAnalysis& analysis) {
 }
 
 Table slowest_traces_table(const SpanAnalysis& analysis,
-                           const std::vector<SpanRecord>& spans, std::size_t top_n) {
+                           const std::vector<TraceEvent>& spans, std::size_t top_n) {
   std::vector<const TraceSummary*> fetches;
   for (const auto& trace : analysis.traces) {
     if (trace.root_kind == SpanKind::kFetch) fetches.push_back(&trace);
@@ -329,15 +331,15 @@ Table slowest_traces_table(const SpanAnalysis& analysis,
             });
   if (fetches.size() > top_n) fetches.resize(top_n);
 
-  std::unordered_map<std::uint64_t, std::vector<const SpanRecord*>> by_trace;
+  std::unordered_map<std::uint64_t, std::vector<const TraceEvent*>> by_trace;
   for (const auto& span : spans) by_trace[span.trace_id].push_back(&span);
 
   Table table({"trace", "routed", "iter", "rank", "ms", "degraded", "path"});
   for (const auto* trace : fetches) {
     auto members = by_trace[trace->trace_id];
     std::sort(members.begin(), members.end(),
-              [](const SpanRecord* a, const SpanRecord* b) {
-                return a->begin_us < b->begin_us;
+              [](const TraceEvent* a, const TraceEvent* b) {
+                return a->ts_us < b->ts_us;
               });
     // The begin-ordered child chain reads as the fetch's critical path:
     // attempts block their parent and backoffs/fallbacks are sequential.

@@ -1,7 +1,7 @@
 // Cross-node span stitching and degraded-fetch attribution (DESIGN.md §11).
 //
-// Input: SpanRecords, from a live Tracer snapshot or decoded from
-// `lobster.spans.v1` JSONL by load_spans. Output: one
+// Input: causal spans (TraceEvents with a trace_id), from a live Tracer
+// snapshot or decoded from `lobster.spans.v1` JSONL by load_spans. Output: one
 // TraceSummary per trace_id — well-formedness (exactly one root, every
 // parent resolves inside the trace), cross-rank reach, degradation
 // classification, and a per-trace attribution of where the wasted time
@@ -33,10 +33,11 @@ namespace lobster::telemetry::analysis {
 /// Decodes `lobster.spans.v1` JSONL text. Throws std::runtime_error, with
 /// the line number, on a malformed line, a schema mismatch, a missing
 /// field, an id that is not 1 to 16 hex digits, an unknown kind or status
-/// name, or a number that is negative, fractional or out of range (rank
-/// past 65535, any other past 2^53).
-std::vector<SpanRecord> load_spans(const std::string& jsonl_text);
-std::vector<SpanRecord> load_spans_file(const std::string& path);
+/// name, a number that is negative, fractional or out of range (rank past
+/// 65535, any other past 2^53), or an end before its begin. A span decodes
+/// with ts_us = begin_us and dur_us = end_us - begin_us.
+std::vector<TraceEvent> load_spans(const std::string& jsonl_text);
+std::vector<TraceEvent> load_spans_file(const std::string& path);
 
 /// Per-trace verdict and attribution.
 struct TraceSummary {
@@ -79,7 +80,7 @@ struct SpanAnalysis {
   double union_overhead_us = 0.0;  ///< sum over iteration_overhead_us
 };
 
-SpanAnalysis analyze_spans(const std::vector<SpanRecord>& spans);
+SpanAnalysis analyze_spans(const std::vector<TraceEvent>& spans);
 
 /// Fetch-latency distribution: all / healthy / degraded rows with count,
 /// mean, p50, p95, max (milliseconds).
@@ -91,6 +92,6 @@ Table span_attribution_table(const SpanAnalysis& analysis);
 
 /// Top-N slowest fetch traces with their critical-path chain.
 Table slowest_traces_table(const SpanAnalysis& analysis,
-                           const std::vector<SpanRecord>& spans, std::size_t top_n);
+                           const std::vector<TraceEvent>& spans, std::size_t top_n);
 
 }  // namespace lobster::telemetry::analysis

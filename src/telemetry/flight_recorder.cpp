@@ -44,9 +44,9 @@ IncidentResult FlightRecorder::trigger(const std::string& reason) {
   }
 
   // Freeze the shared rings OUTSIDE our own lock: producers keep running
-  // during the dump, and the Tracer's span rings and the EventLog each copy
+  // during the dump, and the Tracer's rings and the EventLog each copy
   // under locks of their own.
-  const SpanSnapshot spans = Tracer::instance().span_snapshot();
+  const TraceSnapshot trace = Tracer::instance().snapshot();
   const auto events = EventLog::instance().snapshot();
 
   char name[32];
@@ -66,7 +66,7 @@ IncidentResult FlightRecorder::trigger(const std::string& reason) {
 
   {
     std::ofstream out(dir / "spans.jsonl");
-    write_spans_jsonl(out, spans.records);
+    write_spans_jsonl(out, trace.spans);
   }
   {
     std::ofstream out(dir / "events.jsonl");
@@ -88,10 +88,12 @@ IncidentResult FlightRecorder::trigger(const std::string& reason) {
   analysis::append_json_quoted(manifest, reason);
   manifest += ",\"seq\":" + std::to_string(seq);
   manifest += ",\"ts_us\":" + std::to_string(now_us);
-  manifest += ",\"spans\":" + std::to_string(spans.records.size());
+  manifest += ",\"spans\":" + std::to_string(trace.spans.size());
   manifest += ",\"events\":" + std::to_string(events.size());
   manifest += ",\"heartbeats\":" + std::to_string(heartbeats.size());
-  manifest += ",\"spans_dropped\":" + std::to_string(spans.dropped);
+  // Rings hold spans and trace events together, so this is the ring drop
+  // count: it may over-count lost spans, never under-count them.
+  manifest += ",\"spans_dropped\":" + std::to_string(trace.dropped);
   manifest += ",\"config\":" +
               (config_.config_echo_json.empty() ? std::string("{}")
                                                 : config_.config_echo_json);

@@ -5,15 +5,17 @@
 // four fetches detoured — has been overwritten in the bounded rings or
 // diluted across a million healthy samples. The flight recorder closes it
 // the way an aircraft FDR does: it continuously observes the bounded
-// recent-history rings (the Tracer's per-thread span rings, the EventLog,
-// plus its own heartbeat ring fed by the Monitor) and, when an anomaly
-// fires, freezes them into a self-contained **incident bundle** on disk.
-// It snapshots while the drain, prefetch and serve threads keep recording,
-// which the span rings' per-ring locks make race-free:
+// recent-history rings (the Tracer's per-thread rings, the EventLog, plus
+// its own heartbeat ring fed by the Monitor) and, when an anomaly fires,
+// freezes them into a self-contained **incident bundle** on disk. It
+// snapshots while the drain, prefetch and serve threads keep recording,
+// which the Tracer's per-ring locks make race-free:
 //
 //   <out_dir>/incident-NNN/
 //     manifest.json    lobster.incident.v1: reason, trigger time, counts,
-//                      config echo, file list
+//                      config echo, file list; `spans_dropped` is the
+//                      Tracer's ring drop count (events and spans share
+//                      the rings), an upper bound on spans lost
 //     spans.jsonl      lobster.spans.v1 snapshot (causal fetch trees)
 //     events.jsonl     lobster.events.v1 snapshot (state transitions)
 //     heartbeats.jsonl lobster.heartbeat.v1 (last-N monitor samples)

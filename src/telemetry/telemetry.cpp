@@ -1,21 +1,34 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/rng.hpp"
 
 namespace lobster::telemetry {
 
 thread_local TraceBuffer* Tracer::tls_buffer_ = nullptr;
-thread_local Tracer::SpanRing* Tracer::tls_spans_ = nullptr;
 thread_local std::uint32_t Tracer::tls_track_ = 0;
+thread_local bool Tracer::tls_released_ = false;
 thread_local Tracer::VirtualContext Tracer::tls_virtual_{};
 
 namespace {
-/// Default per-thread ring: 16Ki records (768KiB of events, 1MiB of spans
-/// once the thread opens one). Benches can raise it (bench_common's
-/// trace_buffer=<n>) for long timelines.
+/// Default per-thread ring: 16Ki records (1.25MiB once full). Benches can
+/// raise it (bench_common's trace_buffer=<n>) for long timelines.
 constexpr std::size_t kDefaultBufferCapacity = std::size_t{1} << 14;
+
+/// A `phase` record of interned `name` beginning at `ts_us`.
+TraceEvent make_event(Category category, std::uint32_t name, Phase phase, std::uint64_t ts_us,
+                      std::uint64_t arg = 0, double value = 0.0) noexcept {
+  TraceEvent event;
+  event.ts_us = ts_us;
+  event.value = value;
+  event.arg = arg;
+  event.name_id = name;
+  event.category = category;
+  event.phase = phase;
+  return event;
+}
 }  // namespace
 
 Tracer::Tracer() : buffer_capacity_(kDefaultBufferCapacity), epoch_(WallClock::now()) {
@@ -57,18 +70,27 @@ std::uint64_t Tracer::wall_now_us() const noexcept {
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
 }
 
-TraceBuffer& Tracer::thread_buffer() {
-  TraceBuffer* buffer = tls_buffer_;
-  if (buffer != nullptr) return *buffer;
-  // First event from this thread: allocate its ring and a named track.
-  // Buffers are owned by the tracer and never freed, so events emitted by
-  // pool workers survive the workers themselves. The ring is built outside
-  // the lock, so threads starting together do not queue behind each
-  // other's allocation.
-  auto owned = std::make_unique<TraceBuffer>(buffer_capacity_.load(std::memory_order_relaxed));
-  buffer = owned.get();
+TraceBuffer& Tracer::adopt_buffer() {
+  const std::size_t capacity =
+      TraceBuffer::round_up_capacity(buffer_capacity_.load(std::memory_order_relaxed));
+  TraceBuffer* buffer = nullptr;
   std::uint32_t track = 0;
   {
+    const std::scoped_lock lock(mutex_);
+    const auto it = std::find_if(free_rings_.begin(), free_rings_.end(), [&](const FreeRing& r) {
+      return r.buffer->capacity() == capacity;
+    });
+    if (it != free_rings_.end()) {
+      buffer = it->buffer;
+      track = it->track;
+      free_rings_.erase(it);
+    }
+  }
+  if (buffer == nullptr) {
+    // Built outside the lock, so threads starting together do not queue
+    // behind each other's allocation. The tracer owns every ring.
+    auto owned = std::make_unique<TraceBuffer>(capacity);
+    buffer = owned.get();
     const std::scoped_lock lock(mutex_);
     track = static_cast<std::uint32_t>(tracks_.size());
     tracks_.push_back("thread-" + std::to_string(buffers_.size()));
@@ -76,138 +98,82 @@ TraceBuffer& Tracer::thread_buffer() {
   }
   tls_buffer_ = buffer;
   tls_track_ = track;
+  // The exit hook, registered on the thread's first record. A record made
+  // after it ran (from a later thread-local destructor) lands here again;
+  // that ring then stays with the exiting thread, as no hook can be
+  // registered during thread exit.
+  struct ReleaseAtExit {
+    ~ReleaseAtExit() { Tracer::instance().release_buffer(); }
+  };
+  if (!tls_released_) {
+    static thread_local const ReleaseAtExit release_at_exit;  // built once per thread
+  }
   return *buffer;
 }
 
+void Tracer::release_buffer() noexcept {
+  tls_released_ = true;
+  const std::scoped_lock lock(mutex_);
+  free_rings_.push_back({tls_buffer_, tls_track_});
+  tls_buffer_ = nullptr;
+}
+
 void Tracer::instant_wall(Category category, std::uint32_t name, std::uint64_t arg) noexcept {
-  TraceEvent event;
-  event.ts_us = wall_now_us();
-  event.arg = arg;
-  event.name_id = name;
-  event.category = category;
-  event.phase = Phase::kInstant;
-  event.domain = Domain::kWall;
-  thread_buffer();  // ensure registration so tls_track_ is set
-  event.track = tls_track_;
-  emit(event);
+  emit_wall(make_event(category, name, Phase::kInstant, wall_now_us(), arg));
 }
 
 void Tracer::complete_wall(Category category, std::uint32_t name, std::uint64_t begin_us,
                            std::uint64_t end_us, std::uint64_t arg) noexcept {
-  TraceEvent event;
-  event.ts_us = begin_us;
+  TraceEvent event = make_event(category, name, Phase::kComplete, begin_us, arg);
   event.dur_us = end_us > begin_us ? end_us - begin_us : 0;
-  event.arg = arg;
-  event.name_id = name;
-  event.category = category;
-  event.phase = Phase::kComplete;
-  event.domain = Domain::kWall;
-  thread_buffer();
-  event.track = tls_track_;
-  emit(event);
+  emit_wall(event);
 }
 
 void Tracer::counter_wall(Category category, std::uint32_t name, double value) noexcept {
-  TraceEvent event;
-  event.ts_us = wall_now_us();
-  event.value = value;
-  event.name_id = name;
-  event.category = category;
-  event.phase = Phase::kCounter;
-  event.domain = Domain::kWall;
-  thread_buffer();
-  event.track = tls_track_;
-  emit(event);
+  emit_wall(make_event(category, name, Phase::kCounter, wall_now_us(), 0, value));
 }
 
 void Tracer::instant_at(Category category, std::uint32_t name, std::uint32_t track, Seconds at,
                         std::uint64_t arg) noexcept {
-  TraceEvent event;
-  event.ts_us = to_micros(at);
-  event.arg = arg;
-  event.name_id = name;
-  event.track = track;
-  event.category = category;
-  event.phase = Phase::kInstant;
-  event.domain = Domain::kVirtual;
-  emit(event);
+  emit_virtual(make_event(category, name, Phase::kInstant, to_micros(at), arg), track);
 }
 
 void Tracer::complete_at(Category category, std::uint32_t name, std::uint32_t track,
                          Seconds begin, Seconds end, std::uint64_t arg) noexcept {
-  TraceEvent event;
-  event.ts_us = to_micros(begin);
+  TraceEvent event = make_event(category, name, Phase::kComplete, to_micros(begin), arg);
   const std::uint64_t end_us = to_micros(end);
   event.dur_us = end_us > event.ts_us ? end_us - event.ts_us : 0;
-  event.arg = arg;
-  event.name_id = name;
-  event.track = track;
-  event.category = category;
-  event.phase = Phase::kComplete;
-  event.domain = Domain::kVirtual;
-  emit(event);
+  emit_virtual(event, track);
 }
 
 void Tracer::counter_at(Category category, std::uint32_t name, std::uint32_t track, Seconds at,
                         double value) noexcept {
-  TraceEvent event;
-  event.ts_us = to_micros(at);
-  event.value = value;
-  event.name_id = name;
-  event.track = track;
-  event.category = category;
-  event.phase = Phase::kCounter;
-  event.domain = Domain::kVirtual;
-  emit(event);
+  emit_virtual(make_event(category, name, Phase::kCounter, to_micros(at), 0, value), track);
 }
 
 void Tracer::instant_auto(Category category, std::uint32_t name, std::uint64_t arg) noexcept {
   const VirtualContext& ctx = tls_virtual_;
-  if (ctx.active) {
-    TraceEvent event;
-    event.ts_us = ctx.ts_us;
-    event.arg = arg;
-    event.name_id = name;
-    event.track = ctx.track;
-    event.category = category;
-    event.phase = Phase::kInstant;
-    event.domain = Domain::kVirtual;
-    emit(event);
-  } else {
-    instant_wall(category, name, arg);
-  }
+  if (!ctx.active) return instant_wall(category, name, arg);
+  emit_virtual(make_event(category, name, Phase::kInstant, ctx.ts_us, arg), ctx.track);
 }
 
 void Tracer::counter_auto(Category category, std::uint32_t name, double value) noexcept {
   const VirtualContext& ctx = tls_virtual_;
-  if (ctx.active) {
-    TraceEvent event;
-    event.ts_us = ctx.ts_us;
-    event.value = value;
-    event.name_id = name;
-    event.track = ctx.track;
-    event.category = category;
-    event.phase = Phase::kCounter;
-    event.domain = Domain::kVirtual;
-    emit(event);
-  } else {
-    counter_wall(category, name, value);
-  }
+  if (!ctx.active) return counter_wall(category, name, value);
+  emit_virtual(make_event(category, name, Phase::kCounter, ctx.ts_us, 0, value), ctx.track);
 }
 
-void Tracer::record_span(const SpanRecord& span) noexcept {
-  SpanRing* spans = tls_spans_;
-  if (spans == nullptr) {
-    // First span from this thread: its ring lives as long as the tracer,
-    // like the event ring, so spans of finished workers stay readable.
-    auto owned = std::make_unique<SpanRing>(buffer_capacity_.load(std::memory_order_relaxed));
-    spans = owned.get();
-    tls_spans_ = spans;
-    const std::scoped_lock lock(mutex_);
-    span_rings_.push_back(std::move(owned));
-  }
-  const std::scoped_lock lock(spans->mutex);
-  spans->ring.emit(span);
+void Tracer::emit_wall(TraceEvent record) noexcept {
+  TraceBuffer& buffer = thread_buffer();  // adopting a ring sets tls_track_
+  record.track = tls_track_;
+  record.domain = Domain::kWall;
+  buffer.emit(record);
+}
+
+void Tracer::emit_virtual(TraceEvent record, std::uint32_t track) noexcept {
+  record.track = track;
+  record.domain = Domain::kVirtual;
+  thread_buffer().emit(record);
 }
 
 std::uint64_t Tracer::next_id() noexcept {
@@ -219,37 +185,29 @@ std::uint64_t Tracer::next_id() noexcept {
   return id != 0 ? id : 1;
 }
 
-SpanSnapshot Tracer::span_snapshot() const {
-  SpanSnapshot snap;
-  {
-    const std::scoped_lock lock(mutex_);
-    for (const auto& spans : span_rings_) {
-      const std::scoped_lock ring_lock(spans->mutex);
-      spans->ring.snapshot(snap.records);
-      snap.dropped += spans->ring.dropped();
-    }
-  }
-  // Each ring is already in end order; a stable sort merges them and keeps
-  // one thread's same-microsecond spans in the order they closed.
-  std::stable_sort(snap.records.begin(), snap.records.end(),
-                   [](const SpanRecord& a, const SpanRecord& b) { return a.end_us < b.end_us; });
-  return snap;
-}
-
 TraceSnapshot Tracer::snapshot() const {
   TraceSnapshot snap;
   {
     const std::scoped_lock lock(mutex_);
     for (const auto& buffer : buffers_) {
-      buffer->snapshot(snap.events);
-      snap.dropped += buffer->dropped();
-      snap.emitted += buffer->emitted();
+      const std::size_t before = snap.events.size();
+      const std::uint64_t emitted = buffer->snapshot(snap.events);
+      snap.emitted += emitted;
+      snap.dropped += emitted - (snap.events.size() - before);
     }
     snap.names = names_;
     snap.tracks = tracks_;
     snap.buffers = static_cast<std::uint32_t>(buffers_.size());
   }
-  snap.spans = span_snapshot();
+  // Move the spans out in place, keeping both kinds in ring order.
+  const auto is_span = [](const TraceEvent& record) { return record.trace_id != 0; };
+  std::copy_if(snap.events.begin(), snap.events.end(), std::back_inserter(snap.spans), is_span);
+  snap.events.erase(std::remove_if(snap.events.begin(), snap.events.end(), is_span),
+                    snap.events.end());
+  // Each ring holds its spans in end order; a stable sort merges the rings
+  // and keeps one thread's same-microsecond spans in the order they closed.
+  std::stable_sort(snap.spans.begin(), snap.spans.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.end_us() < b.end_us(); });
   return snap;
 }
 
@@ -270,10 +228,6 @@ std::uint64_t Tracer::emitted_events() const noexcept {
 void Tracer::reset() noexcept {
   const std::scoped_lock lock(mutex_);
   for (const auto& buffer : buffers_) buffer->clear();
-  for (const auto& spans : span_rings_) {
-    const std::scoped_lock ring_lock(spans->mutex);
-    spans->ring.clear();
-  }
 }
 
 }  // namespace lobster::telemetry

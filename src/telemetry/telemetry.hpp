@@ -1,12 +1,15 @@
-// Unified tracing facade: one process-wide Tracer, per-thread ring buffers,
-// two time domains, and statement macros that compile to a relaxed-load +
-// branch when tracing is off.
+// Unified tracing facade: one process-wide Tracer, one ring buffer per
+// recording thread, two time domains, and statement macros that compile to
+// a relaxed-load + branch when tracing is off.
 //
-// The Tracer is the only recorder. Each thread gets a TraceEvent ring on its
-// first trace event and, beside it, a SpanRecord ring on its first causal
-// span (trace_context.hpp), so threads that never open a span pay nothing
-// for one. Both record whenever enabled() is true, and both are sized by
-// set_buffer_capacity.
+// The Tracer is the only recorder, and TraceEvent (trace_buffer.hpp) its
+// only record. A thread gets its ring on its first record, trace event or
+// causal span (trace_context.hpp) alike, and both record whenever
+// enabled() is true. When the thread exits, its ring and track go to a free
+// list; the next thread to record adopts a free ring of the current
+// capacity, records kept, so a process that starts threads per pass holds
+// as many rings as it ever ran threads at once. Overwrites in an adopted
+// ring count in `dropped` like any other.
 //
 // Kill switches:
 //  * compile time — build with -DLOBSTER_TELEMETRY_DISABLED (CMake option
@@ -37,24 +40,19 @@
 
 namespace lobster::telemetry {
 
-/// The causal spans of every thread's span ring.
-struct SpanSnapshot {
-  std::vector<SpanRecord> records;  ///< merged across threads, oldest first by end_us
-  std::uint64_t dropped = 0;        ///< spans lost to ring overwrite
-};
-
-/// Everything an exporter needs, decoupled from live buffers. `events`,
-/// `dropped`, `emitted` and `buffers` count trace events only.
+/// Everything an exporter needs, decoupled from live buffers. The records
+/// of every ring split in two: causal spans (trace_id != 0) and the rest.
+/// `dropped` and `emitted` count both kinds.
 struct TraceSnapshot {
-  std::vector<TraceEvent> events;    ///< merged across threads, unsorted
+  std::vector<TraceEvent> events;    ///< trace events, merged across threads, unsorted
+  std::vector<TraceEvent> spans;     ///< causal spans, oldest first by end
   std::vector<std::string> names;    ///< interned event names by name_id
   std::vector<std::string> tracks;   ///< track names by track id
   std::uint64_t dropped = 0;         ///< records lost to ring overwrite
   std::uint64_t emitted = 0;         ///< records ever written
-  std::uint32_t buffers = 0;         ///< per-thread rings merged into `events`
-  SpanSnapshot spans;
+  std::uint32_t buffers = 0;         ///< per-thread rings merged into this snapshot
 
-  /// True when no event ring overwrote a record — the snapshot is the whole run.
+  /// True when no ring overwrote a record — the snapshot is the whole run.
   bool complete() const noexcept { return dropped == 0; }
 };
 
@@ -86,8 +84,8 @@ class Tracer {
   /// node, engine, ...). Thread tracks are allocated implicitly.
   std::uint32_t new_track(std::string_view name);
 
-  /// Ring capacity (records) for event and span rings created after this
-  /// call.
+  /// Ring capacity (records) for rings a thread gets after this call. An
+  /// exited thread's ring is adopted only by a thread asking for its size.
   void set_buffer_capacity(std::size_t records) noexcept;
 
   /// Microseconds since tracer construction (the wall-domain epoch).
@@ -111,18 +109,18 @@ class Tracer {
   void instant_auto(Category category, std::uint32_t name, std::uint64_t arg = 0) noexcept;
   void counter_auto(Category category, std::uint32_t name, double value) noexcept;
 
+  /// Appends `record` to the calling thread's ring as a wall-domain record
+  /// on the thread's track. The wall helpers above and causal spans
+  /// (trace_context.hpp) all record through it; Span checks enabled() first.
+  void emit_wall(TraceEvent record) noexcept;
+
   // ---- causal spans (trace_context.hpp) --------------------------------
-  /// Appends a completed span to the calling thread's span ring, allocating
-  /// the ring on the thread's first span. Span checks enabled() first.
-  void record_span(const SpanRecord& span) noexcept;
   /// Process-unique non-zero span/trace id.
   std::uint64_t next_id() noexcept;
-  /// Copies out every span ring. Safe while producers run: each ring is
-  /// copied under its own lock, which the flight recorder relies on.
-  SpanSnapshot span_snapshot() const;
 
-  /// Copies out all events, spans and string tables. The events need
-  /// producers quiescent (a live copy may hold a torn event); the spans do not.
+  /// Copies out every ring and the string tables. Safe while producers
+  /// run: each ring is copied under its own lock, which the flight
+  /// recorder relies on.
   TraceSnapshot snapshot() const;
 
   /// Records lost to ring overwrite across all per-thread buffers. Cheap
@@ -132,8 +130,8 @@ class Tracer {
   std::uint64_t emitted_events() const noexcept;
 
   /// Drops recorded events, spans and overflow counts. Interned names,
-  /// tracks, thread registrations and the id sequence survive (call sites
-  /// cache ids in statics; span ids stay unique).
+  /// tracks, thread rings and the id sequence survive (call sites cache ids
+  /// in statics; span ids stay unique).
   void reset() noexcept;
 
  private:
@@ -145,22 +143,28 @@ class Tracer {
     bool active = false;
   };
 
-  /// A thread's span ring plus the lock that lets a snapshot copy it while
-  /// the thread records. Only a snapshot or reset ever contends on it.
-  struct SpanRing {
-    explicit SpanRing(std::size_t capacity) : ring(capacity) {}
-    std::mutex mutex;
-    Ring<SpanRecord> ring;
+  /// An exited thread's ring and the track its records name.
+  struct FreeRing {
+    TraceBuffer* buffer;
+    std::uint32_t track;
   };
 
   Tracer();
 
-  TraceBuffer& thread_buffer();
-  void emit(const TraceEvent& event) noexcept { thread_buffer().emit(event); }
+  TraceBuffer& thread_buffer() {
+    TraceBuffer* buffer = tls_buffer_;
+    return buffer != nullptr ? *buffer : adopt_buffer();
+  }
+  /// First record of a thread: adopts a free ring or allocates one.
+  TraceBuffer& adopt_buffer();
+  /// Thread-exit hook: hands the thread's ring and track to `free_rings_`.
+  void release_buffer() noexcept;
+  /// Appends a virtual-domain record on the caller-allocated `track`.
+  void emit_virtual(TraceEvent record, std::uint32_t track) noexcept;
 
   static thread_local TraceBuffer* tls_buffer_;
-  static thread_local SpanRing* tls_spans_;
   static thread_local std::uint32_t tls_track_;
+  static thread_local bool tls_released_;
   static thread_local VirtualContext tls_virtual_;
 
   std::atomic<bool> enabled_{false};
@@ -171,7 +175,7 @@ class Tracer {
 
   mutable std::mutex mutex_;  // guards the tables below (cold paths only)
   std::vector<std::unique_ptr<TraceBuffer>> buffers_;
-  std::vector<std::unique_ptr<SpanRing>> span_rings_;
+  std::vector<FreeRing> free_rings_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t> name_ids_;
   std::vector<std::string> tracks_;

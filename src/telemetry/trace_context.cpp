@@ -25,7 +25,7 @@ void append_hex_id(std::string& out, std::uint64_t id) {
   }
 }
 
-void write_spans_jsonl(std::ostream& out, const std::vector<SpanRecord>& spans) {
+void write_spans_jsonl(std::ostream& out, const std::vector<TraceEvent>& spans) {
   std::string line;
   for (const auto& span : spans) {
     line = "{\"schema\":\"lobster.spans.v1\",\"trace\":\"";
@@ -39,8 +39,8 @@ void write_spans_jsonl(std::ostream& out, const std::vector<SpanRecord>& spans) 
     line += "\",\"status\":\"";
     line += status_code_name(span.status);
     line += "\",\"rank\":" + std::to_string(span.rank);
-    line += ",\"begin_us\":" + std::to_string(span.begin_us);
-    line += ",\"end_us\":" + std::to_string(span.end_us);
+    line += ",\"begin_us\":" + std::to_string(span.ts_us);
+    line += ",\"end_us\":" + std::to_string(span.end_us());
     line += ",\"arg\":" + std::to_string(span.arg);
     line += ",\"arg2\":" + std::to_string(span.arg2);
     line += "}\n";
@@ -95,7 +95,7 @@ void Span::open(SpanKind kind, std::uint16_t rank, std::uint64_t trace_id,
   record_.trace_id = trace_id;
   record_.span_id = tracer.next_id();
   record_.parent_span_id = parent_span_id;
-  record_.begin_us = tracer.wall_now_us();
+  record_.ts_us = tracer.wall_now_us();
   record_.arg = arg;
   record_.kind = kind;
   record_.rank = rank;
@@ -113,8 +113,9 @@ void Span::end() noexcept {
   active_ = false;
   if (installed_) g_current_context = saved_;
   auto& tracer = Tracer::instance();
-  record_.end_us = tracer.wall_now_us();
-  tracer.record_span(record_);
+  const std::uint64_t end_us = tracer.wall_now_us();
+  record_.dur_us = end_us > record_.ts_us ? end_us - record_.ts_us : 0;
+  tracer.emit_wall(record_);
 }
 
 TraceContext Span::context() const noexcept {
@@ -127,17 +128,16 @@ void Span::instant(SpanKind kind, std::uint16_t rank, std::uint64_t arg,
   auto& tracer = Tracer::instance();
   if (!tracer.enabled()) return;
   const TraceContext parent = g_current_context;
-  SpanRecord record;
+  TraceEvent record;
   record.trace_id = parent.valid() ? parent.trace_id : tracer.next_id();
   record.span_id = tracer.next_id();
   record.parent_span_id = parent.span_id;
-  record.begin_us = tracer.wall_now_us();
-  record.end_us = record.begin_us;
+  record.ts_us = tracer.wall_now_us();
   record.arg = arg;
   record.arg2 = arg2;
   record.kind = kind;
   record.rank = rank;
-  tracer.record_span(record);
+  tracer.emit_wall(record);
 }
 
 ScopedContext::ScopedContext(const TraceContext& context) noexcept {

@@ -15,12 +15,14 @@
 //    stamped into every comm::Message the thread sends, so the serving
 //    rank's handler span links back to the REQUESTER's attempt span:
 //    span trees genuinely cross ranks.
-//  * Recording — a closed span lands in the calling thread's span ring in
-//    the Tracer (telemetry.hpp), the same recorder and the same switch as
-//    trace events. All ranks of the in-process cluster share the Tracer,
-//    which is exactly what cross-rank stitching wants: its span snapshot
-//    IS the cluster-wide view. write_spans_jsonl renders a snapshot as
-//    `lobster.spans.v1` for tools/trace_report --spans and incident bundles.
+//  * Recording — a closed span is a TraceEvent with a non-zero trace_id. It
+//    lands in the calling thread's one ring in the Tracer (telemetry.hpp)
+//    through the same emit, under the same switch and the same drop count
+//    as trace events. All ranks of the in-process cluster share the Tracer,
+//    which is exactly what cross-rank stitching wants: the `spans` of its
+//    snapshot ARE the cluster-wide view. write_spans_jsonl renders them as
+//    `lobster.spans.v1` for tools/trace_report --spans and incident bundles
+//    (begin_us = ts_us, end_us = ts_us + dur_us).
 //
 // Cost model: everything is gated on Tracer::enabled(), one relaxed atomic
 // load. When tracing is off (the default) a Span constructor is a branch;
@@ -60,7 +62,7 @@ TraceContext current_trace_context() noexcept;
 void append_hex_id(std::string& out, std::uint64_t id);
 
 /// Writes one `lobster.spans.v1` JSON line per span.
-void write_spans_jsonl(std::ostream& out, const std::vector<SpanRecord>& spans);
+void write_spans_jsonl(std::ostream& out, const std::vector<TraceEvent>& spans);
 
 /// RAII span. Construction opens a child of the thread-current context (or
 /// roots a new trace when there is none / when `remote_parent` is given)
@@ -119,7 +121,7 @@ class Span {
   void open(SpanKind kind, std::uint16_t rank, std::uint64_t trace_id,
             std::uint64_t parent_span_id, std::uint64_t arg, bool install) noexcept;
 
-  SpanRecord record_{};
+  TraceEvent record_{};
   TraceContext saved_{};
   bool active_ = false;
   bool installed_ = false;

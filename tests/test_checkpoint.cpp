@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "cluster/cluster_runtime.hpp"
 #include "cluster/job.hpp"
 #include "cluster/scheduler.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "core/feedback_balancer.hpp"
 #include "core/load_balance_config.hpp"
@@ -217,6 +219,101 @@ TEST(CheckpointWire, ResidencyChecksumMismatchIsCorrupt) {
   cp.residency_checksum ^= 1;  // manifest disagrees with its own checksum
   const auto parsed = deserialize(serialize(cp));
   EXPECT_EQ(parsed.status().code(), StatusCode::kCorrupt);
+}
+
+/// Re-computes the CRC trailer, so a mutated body reaches the field decoder.
+void reseal(std::vector<std::byte>& bytes) {
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = crc32(std::span<const std::byte>(bytes).first(body));
+  std::memcpy(bytes.data() + body, &crc, sizeof crc);
+}
+
+std::uint32_t u32_at(const std::vector<std::byte>& bytes, std::size_t offset) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + offset, sizeof value);
+  return value;
+}
+
+void set_u32(std::vector<std::byte>& bytes, std::size_t offset, std::uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+/// The count fields of serialize(full_checkpoint()), in wire order.
+struct CountField {
+  const char* name;
+  std::size_t offset;       ///< byte offset of the u32 count
+  std::uint32_t count;      ///< its true value
+  std::size_t entry_bytes;  ///< wire bytes per entry
+  std::uint32_t bound;      ///< largest count the decoder accepts
+};
+
+constexpr std::uint32_t kMaxCheckpointEntries = 1u << 26;
+
+const std::vector<CountField> kCountFields = {
+    {"name", 10, 9, 1, 4096},
+    {"quotas", 75, 8, 4, kMaxCheckpointEntries},
+    {"devices", 112, 2, 17, kMaxCheckpointEntries},
+    {"balancer quotas", 150, 2, 4, kMaxCheckpointEntries},
+    {"weights", 162, 2, 8, kMaxCheckpointEntries},
+    {"targets", 182, 2, 4, kMaxCheckpointEntries},
+    {"residency", 202, 3, 14, kMaxCheckpointEntries},
+};
+
+TEST(CheckpointWire, AnOverBoundCountIsCorruptEvenWithoutEntries) {
+  // A quotas count past the bound with no entries after it, the rest of the
+  // checkpoint intact and the CRC valid: the count alone fails the decode.
+  JobCheckpoint cp = full_checkpoint();
+  cp.quotas.clear();
+  auto bytes = serialize(cp);
+  ASSERT_EQ(u32_at(bytes, 75), 0U);
+  for (const std::uint32_t count : {kMaxCheckpointEntries + 1, kMaxCheckpointEntries}) {
+    set_u32(bytes, 75, count);
+    reseal(bytes);
+    EXPECT_EQ(deserialize(bytes).status().code(), StatusCode::kCorrupt) << count;
+  }
+}
+
+TEST(CheckpointWire, SeededFalseCountsWithAValidCrcNeverDecodeWrong) {
+  // Each count field of a valid checkpoint is set to a false value near its
+  // true count, its bound, or what the bytes left can hold, or to a random
+  // word; the CRC is re-sealed so the field decoder runs. A count past its
+  // bound, or one the bytes left cannot hold, must fail the decode. Any
+  // other must fail too or decode to a checkpoint that round-trips. Runs
+  // under ASan/UBSan in CI.
+  const auto clean = serialize(full_checkpoint());
+  ASSERT_EQ(clean.size(), 260U);
+  for (const auto& field : kCountFields) {
+    ASSERT_EQ(u32_at(clean, field.offset), field.count) << field.name;
+  }
+  Rng rng(0xC0DE);
+  std::size_t rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const CountField& field = kCountFields[rng.bounded(kCountFields.size())];
+    const std::size_t left = clean.size() - sizeof(std::uint32_t) - field.offset - 4;
+    const auto jitter = static_cast<std::uint32_t>(rng.bounded(5));
+    std::uint32_t value = 0;
+    switch (rng.bounded(4)) {
+      case 0: value = field.count + jitter - 2; break;
+      case 1: value = field.bound + jitter - 2; break;
+      case 2: value = static_cast<std::uint32_t>(left / field.entry_bytes) + jitter - 2; break;
+      default: value = static_cast<std::uint32_t>(rng.bounded(std::uint64_t{1} << 32)); break;
+    }
+    if (value == field.count) continue;
+    auto bytes = clean;
+    set_u32(bytes, field.offset, value);
+    reseal(bytes);
+    const auto parsed = deserialize(bytes);
+    const bool must_fail =
+        value > field.bound || std::uint64_t{value} * field.entry_bytes > left;
+    if (!parsed.ok()) {
+      ++rejected;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kCorrupt);
+      continue;
+    }
+    EXPECT_FALSE(must_fail) << field.name << " count " << value << " decoded";
+    EXPECT_TRUE(deserialize(serialize(parsed.value())).ok()) << field.name << " " << value;
+  }
+  EXPECT_GT(rejected, 0U);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "telemetry/analysis/json.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace lobster::telemetry {
 namespace {
@@ -103,19 +105,28 @@ TEST(Monitor, PrefetchOutrunComparesIntervalRates) {
 
 #if !defined(LOBSTER_TELEMETRY_DISABLED)
 TEST(Monitor, OverflowFlagTracksDroppedTraceEvents) {
-  reset_all();
-  Tracer::instance().set_enabled(true);
-  Monitor monitor(quiet_config());
-  EXPECT_FALSE(monitor.sample_once().trace_ring_overflow);
+  // Trace events and causal spans share one ring per thread, so either
+  // alone overflowing it raises the flag.
+  const std::vector<std::pair<const char*, void (*)()>> fillers = {
+      {"trace events", [] { LOBSTER_TRACE_INSTANT(kTest, "overflow_filler", 0); }},
+      {"causal spans", [] { Span::instant(SpanKind::kDetour, 0); }},
+  };
+  for (const auto& [what, fill] : fillers) {
+    SCOPED_TRACE(what);
+    reset_all();
+    Tracer::instance().set_enabled(true);
+    Monitor monitor(quiet_config());
+    EXPECT_FALSE(monitor.sample_once().trace_ring_overflow);
 
-  // Blow past the 1<<10 ring sized at process start.
-  for (int i = 0; i < (1 << 11); ++i) LOBSTER_TRACE_INSTANT(kTest, "overflow_filler", 0);
-  const MonitorSample sample = monitor.sample_once();
-  EXPECT_GT(sample.trace_dropped, 0u);
-  EXPECT_TRUE(sample.trace_ring_overflow);
-  // The monitor mirrors the drop count into the registry for exporters.
-  EXPECT_GT(MetricRegistry::instance().gauge("telemetry.dropped_events").value(), 0.0);
-  Tracer::instance().set_enabled(false);
+    // Blow past the 1<<10 ring sized at process start.
+    for (int i = 0; i < (1 << 11); ++i) fill();
+    const MonitorSample sample = monitor.sample_once();
+    EXPECT_GT(sample.trace_dropped, 0u);
+    EXPECT_TRUE(sample.trace_ring_overflow);
+    // The monitor mirrors the drop count into the registry for exporters.
+    EXPECT_GT(MetricRegistry::instance().gauge("telemetry.dropped_events").value(), 0.0);
+    Tracer::instance().set_enabled(false);
+  }
 }
 #endif  // !LOBSTER_TELEMETRY_DISABLED
 

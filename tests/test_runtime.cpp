@@ -452,6 +452,65 @@ TEST(PlanIoFuzz, RandomGarbageNeverCrash) {
   }
 }
 
+/// A hand-written plan file: a header for one node of one GPU, then `body`.
+std::vector<std::byte> plan_bytes(std::uint32_t epochs, std::uint32_t iterations_per_epoch,
+                                  std::uint64_t iteration_count,
+                                  const std::vector<std::uint32_t>& body) {
+  std::vector<std::byte> bytes;
+  const auto put = [&bytes](const auto value) {
+    const auto* raw = reinterpret_cast<const std::byte*>(&value);
+    bytes.insert(bytes.end(), raw, raw + sizeof(value));
+  };
+  put(kPlanMagic);
+  put(kPlanVersion);
+  put(std::uint16_t{1});  // nodes
+  put(std::uint16_t{1});  // gpus per node
+  put(epochs);
+  put(iterations_per_epoch);
+  put(std::uint32_t{1});  // batch size
+  put(std::uint64_t{0});  // seed
+  put(iteration_count);
+  for (const std::uint32_t word : body) put(word);
+  return bytes;
+}
+
+/// The message deserialize_plan throws for `bytes` ("" when it accepts).
+std::string plan_error(const std::vector<std::byte>& bytes) {
+  try {
+    (void)deserialize_plan(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PlanIoFuzz, FalseCountsFailAtTheCountBeforeAllocating) {
+  // epochs * I iterations that the 40-byte header cannot hold: refused as
+  // malformed, not attempted as a 2^32-iteration reservation.
+  const auto huge = plan_bytes(1u << 16, 1u << 16, std::uint64_t{1} << 32, {});
+  ASSERT_EQ(huge.size(), 40U);
+  EXPECT_NE(plan_error(huge).find("iteration count"), std::string::npos) << plan_error(huge);
+
+  // One iteration (id 0, 1 preproc thread, one load thread) whose id lists
+  // claim more entries than follow: each fails at its count.
+  const std::uint32_t kMaxList = 1u << 24;
+  const std::vector<std::pair<std::vector<std::uint32_t>, const char*>> cases = {
+      {{0, 0, 1, 1, 1, kMaxList, 0}, "prefetches count"},
+      {{0, 0, 1, 1, 1, 2, 7}, "prefetches count"},
+      {{0, 0, 1, 1, 1, 0, kMaxList}, "evictions count"},
+      {{0, 0, 1, 1, 1, 1, 7, 0xFFFF}, "evictions count"},
+  };
+  for (const auto& [body, what] : cases) {
+    const std::string error = plan_error(plan_bytes(1, 1, 1, body));
+    EXPECT_NE(error.find(what), std::string::npos) << what << ": " << error;
+  }
+  // The same iteration with true counts decodes.
+  const Plan plan = deserialize_plan(plan_bytes(1, 1, 1, {0, 0, 1, 1, 1, 1, 7, 1, 9}));
+  ASSERT_EQ(plan.iterations.size(), 1U);
+  EXPECT_EQ(plan.iterations[0].nodes[0].prefetches, std::vector<SampleId>{7});
+  EXPECT_EQ(plan.iterations[0].nodes[0].evictions, std::vector<SampleId>{9});
+}
+
 TEST(PayloadFuzz, AnySingleCorruptionIsDetected) {
   const SampleId sample = 777;
   const auto clean = make_sample_payload(sample, 2048);
@@ -633,8 +692,8 @@ namespace {
 using telemetry::SpanKind;
 using telemetry::Tracer;
 
-std::vector<telemetry::SpanRecord> recorded_spans() {
-  return Tracer::instance().span_snapshot().records;
+std::vector<telemetry::TraceEvent> recorded_spans() {
+  return Tracer::instance().snapshot().spans;
 }
 
 /// Node 0 of a 2-node, 1-GPU cluster executes `iterations` iterations of
@@ -681,7 +740,7 @@ struct HolderCluster {
     std::size_t envelopes = 0;
     std::size_t reroute_spans = 0;
   };
-  static BatchTrees batch_trees(const std::vector<telemetry::SpanRecord>& spans) {
+  static BatchTrees batch_trees(const std::vector<telemetry::TraceEvent>& spans) {
     BatchTrees trees;
     std::unordered_set<std::uint64_t> roots;
     for (const auto& span : spans) {
@@ -778,15 +837,15 @@ TEST(BatchedPrefetch, HolderGroupRepliesStayWithinOneArenaClass) {
   // At most one envelope to the holder is in flight: each attempt starts
   // after the previous attempt to it ended, so in-flight reply bytes stay
   // within one arena class.
-  std::vector<telemetry::SpanRecord> attempts;
+  std::vector<telemetry::TraceEvent> attempts;
   for (const auto& span : spans) {
     if (span.kind == SpanKind::kAttempt && span.arg2 == 1) attempts.push_back(span);
   }
   ASSERT_EQ(attempts.size(), trees.envelopes);
   std::sort(attempts.begin(), attempts.end(),
-            [](const auto& a, const auto& b) { return a.begin_us < b.begin_us; });
+            [](const auto& a, const auto& b) { return a.ts_us < b.ts_us; });
   for (std::size_t i = 1; i < attempts.size(); ++i) {
-    EXPECT_GE(attempts[i].begin_us, attempts[i - 1].end_us) << "attempt " << i;
+    EXPECT_GE(attempts[i].ts_us, attempts[i - 1].end_us()) << "attempt " << i;
   }
 }
 

@@ -1,10 +1,13 @@
-// Telemetry subsystem: ring-buffer wraparound and drop accounting, wall vs
-// virtual time domains, the Chrome trace exporter (parsed back by a minimal
-// JSON reader), the metric registry, and the runtime kill switch.
+// Telemetry subsystem: ring-buffer wraparound and drop accounting, live
+// copies of locked rings, ring reuse across thread exits, wall vs virtual
+// time domains, the Chrome trace exporter (parsed back by a minimal JSON
+// reader), the metric registry, and the runtime kill switch.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace lobster::telemetry {
 namespace {
@@ -341,6 +345,100 @@ TEST(Tracer, MultithreadedEmitMergesAllThreads) {
   const auto snapshot = Tracer::instance().snapshot();
   EXPECT_EQ(snapshot.events.size(), static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_EQ(snapshot.dropped, 0U);
+}
+
+TEST(Tracer, SnapshotCopiesRingsWhileThreadsRecord) {
+  // Two producers wrap 64-record rings many times over while snapshots copy
+  // them. Every copied event must be whole (a counter carries no arg, an
+  // instant no value), and TSan checks the copy itself: each ring is read
+  // under the lock its emits take.
+  reset_and_enable();
+  auto& tracer = Tracer::instance();
+  tracer.set_buffer_capacity(64);
+  const auto name = tracer.intern("live_copy");
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < 2; ++t) {
+    producers.emplace_back([&] {
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        tracer.counter_wall(Category::kTest, name, static_cast<double>(i + 1));
+        tracer.instant_wall(Category::kTest, name, i);
+      }
+    });
+  }
+  std::size_t copied = 0;
+  for (int round = 0; round < 50 || copied == 0; ++round) {
+    const auto snapshot = tracer.snapshot();
+    for (const auto& event : snapshot.events) {
+      if (event.name_id != name) continue;
+      ++copied;
+      if (event.phase == Phase::kCounter) {
+        EXPECT_EQ(event.arg, 0U);
+      } else {
+        EXPECT_EQ(event.phase, Phase::kInstant);
+        EXPECT_EQ(event.value, 0.0);
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& producer : producers) producer.join();
+  tracer.set_buffer_capacity(std::size_t{1} << 14);
+  EXPECT_GT(copied, 0U);
+  EXPECT_GT(tracer.dropped_events(), 0U);
+}
+
+TEST(Tracer, ExitedThreadsHandTheirRingToTheNextThread) {
+  // Threads started and joined in turn: each adopts the ring the previous
+  // one returned at exit, records kept, so the ring count stays flat.
+  reset_and_enable();
+  auto& tracer = Tracer::instance();
+  const auto name = tracer.intern("ring_reuse");
+  const std::uint32_t buffers_before = tracer.snapshot().buffers;
+  constexpr std::uint64_t kThreads = 256;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread([&tracer, name, t] {
+      tracer.instant_wall(Category::kTest, name, t);
+      Span::instant(SpanKind::kDetour, 0, t);
+    }).join();
+  }
+  const auto snapshot = tracer.snapshot();
+  EXPECT_LE(snapshot.buffers, buffers_before + 1);
+  EXPECT_EQ(snapshot.dropped, 0U);
+  std::set<std::uint64_t> event_args, span_args;
+  for (const auto& event : snapshot.events) event_args.insert(event.arg);
+  for (const auto& span : snapshot.spans) span_args.insert(span.arg);
+  EXPECT_EQ(snapshot.events.size(), kThreads);
+  EXPECT_EQ(snapshot.spans.size(), kThreads);
+  EXPECT_EQ(event_args.size(), kThreads);
+  EXPECT_EQ(span_args.size(), kThreads);
+}
+
+/// Records a span from a thread-local destructor that runs after the
+/// Tracer's exit hook returned the thread's ring.
+struct SpanAtThreadExit {
+  ~SpanAtThreadExit() { Span::instant(SpanKind::kDetour, 0, 2); }
+};
+
+TEST(Tracer, ARecordAfterTheExitHookNeverSharesARing) {
+  reset_and_enable();
+  // A capacity no other test uses, so only this test's rings are free.
+  Tracer::instance().set_buffer_capacity(128);
+  std::thread([] {
+    // Built before the thread's first record, so destroyed after the hook.
+    static thread_local SpanAtThreadExit late;
+    (void)late;
+    Span::instant(SpanKind::kDetour, 0, 1);
+  }).join();
+  std::thread([] { Span::instant(SpanKind::kDetour, 0, 3); }).join();
+  Tracer::instance().set_buffer_capacity(std::size_t{1} << 14);
+  const auto snapshot = Tracer::instance().snapshot();
+  ASSERT_EQ(snapshot.spans.size(), 3U);
+  std::map<std::uint64_t, std::uint32_t> track_of;  // span arg -> track
+  for (const auto& span : snapshot.spans) track_of[span.arg] = span.track;
+  // The late record takes the thread's returned ring back for good, so the
+  // next thread records on a ring of its own.
+  EXPECT_EQ(track_of.at(2), track_of.at(1));
+  EXPECT_NE(track_of.at(3), track_of.at(2));
 }
 
 // ---------------------------------------------------------------------------

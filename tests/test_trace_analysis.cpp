@@ -482,19 +482,19 @@ TEST(AnalysisReport, TablesRenderInAllFormats) {
 // lobster.spans.v1 codec
 // ---------------------------------------------------------------------------
 
-std::string spans_jsonl(const std::vector<SpanRecord>& spans) {
+std::string spans_jsonl(const std::vector<TraceEvent>& spans) {
   std::ostringstream out;
   write_spans_jsonl(out, spans);
   return out.str();
 }
 
-SpanRecord sample_span() {
-  SpanRecord span;
+TraceEvent sample_span() {
+  TraceEvent span;
   span.trace_id = 0x1F;
   span.span_id = 0xA0;
   span.parent_span_id = 0;
-  span.begin_us = 10;
-  span.end_us = 25;
+  span.ts_us = 10;
+  span.dur_us = 15;
   span.arg = 7;
   span.arg2 = 2;
   span.kind = SpanKind::kAttempt;
@@ -530,9 +530,9 @@ TEST(SpanJsonl, WriterBytesArePinned) {
 }
 
 TEST(SpanJsonl, EveryFieldRoundTrips) {
-  std::vector<SpanRecord> spans;
+  std::vector<TraceEvent> spans;
   for (std::uint8_t k = 0; k < static_cast<std::uint8_t>(SpanKind::kKindCount); ++k) {
-    SpanRecord span = sample_span();
+    TraceEvent span = sample_span();
     span.kind = static_cast<SpanKind>(k);
     span.status = static_cast<StatusCode>(k % (static_cast<int>(StatusCode::kInvalid) + 1));
     span.trace_id = ~0ULL - k;  // past 2^53: ids stay exact as hex
@@ -587,9 +587,9 @@ TEST(SpanJsonl, SeededMutationsAreRejectedOrRoundTrip) {
   // the decoder either throws with a line number or returns spans that
   // re-encode to a stream it decodes to the same spans. Runs under
   // ASan/UBSan in CI, where an out-of-range cast would trap.
-  std::vector<SpanRecord> spans;
+  std::vector<TraceEvent> spans;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    SpanRecord span = sample_span();
+    TraceEvent span = sample_span();
     span.span_id = 0xA0 + i;
     span.parent_span_id = i == 0 ? 0 : 0xA0;
     span.arg = 1000 * i + 7;
@@ -631,22 +631,22 @@ TEST(SpanJsonl, SeededMutationsAreRejectedOrRoundTrip) {
 /// back corrupt (rank 1's serve still parents on it, so the tree touches
 /// two ranks), the sample detours, and the re-route envelope's attempt is
 /// served on rank 2.
-std::vector<SpanRecord> rerouted_batch_tree() {
+std::vector<TraceEvent> rerouted_batch_tree() {
   const auto span = [](std::uint64_t id, std::uint64_t parent, SpanKind kind,
                        std::uint16_t rank, std::uint64_t begin, std::uint64_t end,
                        StatusCode status = StatusCode::kOk) {
-    SpanRecord s;
+    TraceEvent s;
     s.trace_id = 0x71;
     s.span_id = id;
     s.parent_span_id = parent;
     s.kind = kind;
     s.status = status;
     s.rank = rank;
-    s.begin_us = begin;
-    s.end_us = end;
+    s.ts_us = begin;
+    s.dur_us = end - begin;
     return s;
   };
-  std::vector<SpanRecord> spans{
+  std::vector<TraceEvent> spans{
       span(1, 0, SpanKind::kFetch, 0, 0, 100),
       span(2, 1, SpanKind::kMultiGet, 0, 1, 40),
       span(3, 2, SpanKind::kAttempt, 0, 1, 40, StatusCode::kCorrupt),

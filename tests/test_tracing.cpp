@@ -1,5 +1,5 @@
 // Causal tracing & incident capture (DESIGN.md §11): span nesting and
-// TLS-context propagation, the Tracer's per-thread span rings, message-
+// TLS-context propagation, spans in the Tracer's per-thread rings, message-
 // envelope stamping across the bus, the structured event log, the
 // response-tag window that keeps 64-bit request ids collision-free, the
 // flight recorder's bundle round-trip, and — under TSan — concurrent
@@ -40,14 +40,14 @@ using telemetry::EventKind;
 using telemetry::EventLog;
 using telemetry::Span;
 using telemetry::SpanKind;
-using telemetry::SpanRecord;
 using telemetry::TraceContext;
+using telemetry::TraceEvent;
 using telemetry::Tracer;
 
 /// The Tracer's default per-thread ring capacity.
 constexpr std::size_t kDefaultRingRecords = std::size_t{1} << 14;
 
-std::vector<SpanRecord> recorded_spans() { return Tracer::instance().span_snapshot().records; }
+std::vector<TraceEvent> recorded_spans() { return Tracer::instance().snapshot().spans; }
 
 class TracingTest : public ::testing::Test {
  protected:
@@ -109,7 +109,7 @@ TEST_F(TracingTest, NestedSpansShareTheTraceAndChainParents) {
   EXPECT_EQ(spans[0].status, StatusCode::kTimeout);
   EXPECT_EQ(spans[1].kind, SpanKind::kDetour);
   EXPECT_EQ(spans[1].parent_span_id, root);
-  EXPECT_EQ(spans[1].begin_us, spans[1].end_us);  // instant
+  EXPECT_EQ(spans[1].ts_us, spans[1].end_us());  // instant
   EXPECT_EQ(spans[2].kind, SpanKind::kFetch);
   for (const auto& span : spans) EXPECT_EQ(span.trace_id, trace);
 
@@ -213,8 +213,8 @@ TEST_F(TracingTest, RingDropsOldestBeyondCapacity) {
       Span span(SpanKind::kFetch, 0, i);
     }
   }).join();
-  const auto snapshot = Tracer::instance().span_snapshot();
-  const auto& spans = snapshot.records;
+  const auto snapshot = Tracer::instance().snapshot();
+  const auto& spans = snapshot.spans;
   ASSERT_EQ(spans.size(), 8U);
   EXPECT_EQ(snapshot.dropped, 12U);
   for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(spans[i].arg, 12 + i);  // oldest first
@@ -228,9 +228,9 @@ TEST_F(TracingTest, SpansRecordOnlyWhileTheTracerIsEnabled) {
   { Span fetch(SpanKind::kFetch, 0, 2); }
   Span::instant(SpanKind::kDetour, 0, 3);
   const auto snapshot = Tracer::instance().snapshot();
-  ASSERT_EQ(snapshot.spans.records.size(), 1U);
-  EXPECT_EQ(snapshot.spans.records[0].arg, 1U);
-  EXPECT_EQ(snapshot.spans.dropped, 0U);
+  ASSERT_EQ(snapshot.spans.size(), 1U);
+  EXPECT_EQ(snapshot.spans[0].arg, 1U);
+  EXPECT_EQ(snapshot.dropped, 0U);
 
   Tracer::instance().reset();
   EXPECT_TRUE(recorded_spans().empty());
@@ -381,9 +381,9 @@ TEST_F(TracingTest, ConcurrentDegradedFetchesBuildIsolatedSpanTrees) {
   for (auto& thread : threads) thread.join();
   server.stop();
 
-  const auto snapshot = Tracer::instance().span_snapshot();
+  const auto snapshot = Tracer::instance().snapshot();
   EXPECT_EQ(snapshot.dropped, 0U);
-  const auto& records = snapshot.records;
+  const auto& records = snapshot.spans;
   const auto analysis = telemetry::analysis::analyze_spans(records);
 
   EXPECT_EQ(analysis.fetch_traces, std::size_t{kThreads} * kFetchesPerThread);
@@ -532,7 +532,7 @@ TEST_F(TracingTest, IncidentBundlesSnapshotSpanRingsWhileThreadsRecord) {
   }
   // Dump once every producer's ring has wrapped at least once.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (tracer.span_snapshot().dropped < kProducers * kRingRecords &&
+  while (tracer.dropped_events() < kProducers * kRingRecords &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -556,7 +556,7 @@ TEST_F(TracingTest, IncidentBundlesSnapshotSpanRingsWhileThreadsRecord) {
     for (const auto& span : spans) {
       EXPECT_NE(span.trace_id, 0U);
       EXPECT_NE(span.span_id, 0U);
-      EXPECT_LE(span.begin_us, span.end_us);
+      EXPECT_LE(span.ts_us, span.end_us());
       ASSERT_LT(span.rank, kProducers);
       EXPECT_EQ(span.arg2, pair_of(span.arg, span.rank)) << "torn span " << span.span_id;
       if (span.kind == SpanKind::kFetch) {

@@ -245,7 +245,7 @@ int run_span_mode(const Options& options) {
     }
   }
 
-  std::vector<lobster::telemetry::SpanRecord> spans;
+  std::vector<lobster::telemetry::TraceEvent> spans;
   try {
     spans = analysis::load_spans_file(spans_path);
   } catch (const std::exception& e) {
